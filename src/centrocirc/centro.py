@@ -39,6 +39,9 @@ def exchange_dense(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)[::-1]
 
 
+_ROOT_HALF = 1.0 / np.sqrt(2.0)
+
+
 def reverse(x) -> np.ndarray:
     """The action of the exchange matrix on a vector, in O(n)."""
     return as_vector(x)[::-1]
@@ -46,7 +49,7 @@ def reverse(x) -> np.ndarray:
 
 def _flip_conjugate(x: np.ndarray) -> np.ndarray:
     # E X E reverses both the row and the column order
-    return x[::-1, ::-1]
+    return x[..., ::-1, ::-1]
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,9 @@ class EvenOddSplit:
 
 
 def even_odd_split(x) -> EvenOddSplit:
-    x = as_vector(x)
-    rx = x[::-1]
+    """Split x, or each vector of an ``(..., n)`` stack along the last axis."""
+    x = as_vector(x, stacked=True)
+    rx = x[..., ::-1]
     return EvenOddSplit(even=(x + rx) / 2, odd=(x - rx) / 2)
 
 
@@ -72,8 +76,9 @@ class CentroSplit:
 
 
 def centro_split(x) -> CentroSplit:
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
+    """Split X, or each matrix of an ``(..., n, n)`` stack on the last two axes."""
+    x = as_matrix(x, stacked=True)
+    if x.shape[-2] != x.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
     fx = _flip_conjugate(x)
     return CentroSplit(sym=(x + fx) / 2, skew=(x - fx) / 2)
@@ -123,25 +128,58 @@ def even_odd_basis(n: int) -> EvenOddBasis:
     r = n - half
     p = np.zeros((n, r), dtype=np.complex128)
     q = np.zeros((n, half), dtype=np.complex128)
-    root_half = 1.0 / np.sqrt(2.0)
     for k in range(half):
-        p[k, k] = root_half
-        p[n - 1 - k, k] = root_half
-        q[k, k] = root_half
-        q[n - 1 - k, k] = -root_half
+        p[k, k] = _ROOT_HALF
+        p[n - 1 - k, k] = _ROOT_HALF
+        q[k, k] = _ROOT_HALF
+        q[n - 1 - k, k] = -_ROOT_HALF
     if n % 2 == 1:
         p[half, r - 1] = 1.0
     return EvenOddBasis(p_cols=p, q_cols=q)
 
 
+def _fold(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """(P* x, Q* x) along ``axis``, by pairing each entry with its mirror.
+
+    Entry k of P* x is (x_k + x_{n+1-k}) / sqrt(2), closed by the middle
+    entry when n is odd; entry k of Q* x is (x_k - x_{n+1-k}) / sqrt(2).
+    O(n) per vector, and neither P nor Q is ever built.
+    """
+    x = np.moveaxis(x, axis, -1)
+    half = x.shape[-1] // 2
+    top, mirror = x[..., :half], x[..., ::-1][..., :half]
+    even = (top + mirror) * _ROOT_HALF
+    if x.shape[-1] % 2:
+        even = np.concatenate([even, x[..., half:half + 1]], axis=-1)
+    odd = (top - mirror) * _ROOT_HALF
+    return np.moveaxis(even, -1, axis), np.moveaxis(odd, -1, axis)
+
+
+def _unfold(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """P y1 + Q y2 along the last axis: the inverse of ``_fold``."""
+    half = y2.shape[-1]
+    paired = y1[..., :half]
+    head = (paired + y2) * _ROOT_HALF
+    tail = (paired - y2) * _ROOT_HALF
+    return np.concatenate([head, y1[..., half:], tail[..., ::-1]], axis=-1)
+
+
+def _blocks(x: np.ndarray):
+    # fold the rows, then the columns of each half: P is real, so X P = (P* X^T)^T
+    rows_even, rows_odd = _fold(x, axis=-2)
+    return _fold(rows_even) + _fold(rows_odd)
+
+
 def block_form(x, basis: EvenOddBasis):
-    """The four blocks of X in the even/odd basis: (P*XP, P*XQ, Q*XP, Q*XQ)."""
-    x = as_matrix(x)
-    if x.shape != (basis.n, basis.n):
+    """The four blocks of X in the even/odd basis: (P*XP, P*XQ, Q*XP, Q*XQ).
+
+    X may also be an ``(..., n, n)`` stack; the blocks are then stacks too.
+    The basis fixes n; the blocks come from the O(n^2) fold, not from P, Q.
+    """
+    x = as_matrix(x, stacked=True)
+    if x.shape[-2:] != (basis.n, basis.n):
         raise ValueError(f"shape mismatch: {x.shape} vs basis size {basis.n}")
-    p, q = basis.p_cols, basis.q_cols
-    ph, qh = p.conj().T, q.conj().T
-    return ph @ x @ p, ph @ x @ q, qh @ x @ p, qh @ x @ q
+    return _blocks(x)
 
 
 def solve_centro_symmetric(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -149,6 +187,7 @@ def solve_centro_symmetric(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     A must be centro-symmetric to tolerance; then P*AP and Q*AQ carry the
     whole problem and z = P y1 + Q y2 recombines the half-size solutions.
+    Both reductions are folds, so the set-up is O(n^2).
     """
     a = as_matrix(a)
     w = as_vector(w)
@@ -156,11 +195,12 @@ def solve_centro_symmetric(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise NotCentroSymmetricError("matrix is not centro-symmetric to tolerance")
     if a.shape[0] != w.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {w.shape}")
-    basis = even_odd_basis(a.shape[0])
-    p, q = basis.p_cols, basis.q_cols
-    y1 = solve_dense(p.conj().T @ a @ p, p.conj().T @ w, tol)
-    y2 = solve_dense(q.conj().T @ a @ q, q.conj().T @ w, tol)
-    return p @ y1 + q @ y2
+    a11, _, _, a22 = _blocks(a)
+    w1, w2 = _fold(w)
+    y1 = solve_dense(a11, w1, tol)
+    # n = 1 leaves no odd half to solve
+    y2 = solve_dense(a22, w2, tol) if w2.size else w2
+    return _unfold(y1, y2)
 
 
 def reflect_eigenpair(k, pair: EigenPair, tol: Tolerance = DEFAULT_TOL) -> EigenPair:

@@ -123,18 +123,23 @@ def scirc_spectrum(s: SkewCirculant) -> np.ndarray:
 
 
 def circ_matvec(c: Circulant, x) -> np.ndarray:
-    """Fast product Circ(c) @ x: transform, scale by the spectrum, invert."""
-    x = as_vector(x)
-    if x.shape[0] != c.n:
-        raise ValueError(f"length mismatch: {c.n} vs {x.shape[0]}")
+    """Fast product Circ(c) @ x: transform, scale by the spectrum, invert.
+
+    x may be an ``(..., n)`` stack; each vector along the last axis is
+    multiplied."""
+    x = as_vector(x, stacked=True)
+    if x.shape[-1] != c.n:
+        raise ValueError(f"length mismatch: {c.n} vs {x.shape[-1]}")
     return dft_apply(circ_spectrum(c) * dft_apply(x), inverse=True)
 
 
 def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
-    """Fast product SCirc(a) @ x through the twisted transform."""
-    x = as_vector(x)
-    if x.shape[0] != s.n:
-        raise ValueError(f"length mismatch: {s.n} vs {x.shape[0]}")
+    """Fast product SCirc(a) @ x through the twisted transform.
+
+    x may be an ``(..., n)`` stack, as for ``circ_matvec``."""
+    x = as_vector(x, stacked=True)
+    if x.shape[-1] != s.n:
+        raise ValueError(f"length mismatch: {s.n} vs {x.shape[-1]}")
     return h_apply(scirc_spectrum(s) * h_apply(x), inverse=True)
 
 

@@ -113,7 +113,16 @@ def _parse_coeffs(text: str) -> np.ndarray:
     tokens = [t for t in text.split(",") if t.strip()]
     if not tokens:
         raise UsageError("empty coefficient list")
-    return np.array([_parse_scalar(t) for t in tokens], dtype=np.complex128)
+    coeffs = np.array([_parse_scalar(t) for t in tokens], dtype=np.complex128)
+    if not np.all(np.isfinite(coeffs)):
+        raise UsageError(f"coefficients must be finite, got {text!r}")
+    return coeffs
+
+
+def _check_tol(tol: float) -> float:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise UsageError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def _parse_size(text: str, lo: int, hi: int) -> int:
@@ -165,6 +174,7 @@ def cmd_spectrum(kind: str, arg: str,
                  tol: float = DEFAULT_RESIDUAL_TOL) -> CommandReport:
     if kind not in SPECTRUM_KINDS:
         raise UsageError(f"unknown spectrum kind {kind!r}")
+    _check_tol(tol)
     if kind == "circ":
         matrix = Circulant(_parse_coeffs(arg))
         pairs, dense = circ_eigenpairs(matrix), circ_dense(matrix)
@@ -194,7 +204,7 @@ def cmd_verify(suite: str, range_text: str, seed: int = DEFAULT_SEED,
     if suite not in SUITE_NAMES:
         raise UsageError(f"unknown suite {suite!r}")
     lo, hi = _parse_range(range_text)
-    metrics = run_suite(suite, lo, hi, seed, relation_tol=tol)
+    metrics = run_suite(suite, lo, hi, seed, relation_tol=_check_tol(tol))
     return CommandReport(
         command=f"verify {suite}", n=hi, status=_status(metrics),
         metrics=metrics, seed=seed, n_range=f"{lo}..{hi}",

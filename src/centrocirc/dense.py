@@ -39,24 +39,33 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce to a 1-d complex128 array, rejecting NaN/Inf entries."""
+def _as_finite(x, ndim: int, stacked: bool, noun: str) -> np.ndarray:
+    # the one shape/finiteness check behind as_vector and as_matrix
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"expected a nonempty vector, got shape {x.shape}")
+    if (x.ndim < ndim if stacked else x.ndim != ndim) or x.size == 0:
+        what = f"stack of {noun}s" if stacked else noun
+        raise ValueError(f"expected a nonempty {what}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("vector contains non-finite entries")
+        raise ValueError(f"{noun} contains non-finite entries")
     return x
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting NaN/Inf entries."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    return a
+def as_vector(x, stacked: bool = False) -> np.ndarray:
+    """Coerce to a 1-d complex128 array, rejecting NaN/Inf entries.
+
+    With ``stacked=True`` any ``(..., n)`` array is accepted: a stack of
+    vectors along the last axis.
+    """
+    return _as_finite(x, 1, stacked, "vector")
+
+
+def as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Coerce to a 2-d complex128 array, rejecting NaN/Inf entries.
+
+    With ``stacked=True`` any ``(..., m, n)`` array is accepted: a stack of
+    matrices along the last two axes.
+    """
+    return _as_finite(a, 2, stacked, "matrix")
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:

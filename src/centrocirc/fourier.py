@@ -91,7 +91,8 @@ def dft_apply(x, inverse: bool = False) -> np.ndarray:
     """Multiply by F (forward) or by its inverse = F* (``inverse=True``).
 
     Unitary normalization 1/sqrt(n) in both directions, so a forward
-    followed by an inverse is the identity to round-off.
+    followed by an inverse is the identity to round-off.  Transforms along
+    the last axis, so an ``(..., n)`` stack is transformed vector by vector.
     """
     x = np.asarray(x, dtype=np.complex128)
     if inverse:
@@ -103,10 +104,11 @@ def h_apply(x, inverse: bool = False) -> np.ndarray:
     """Multiply by H (forward) or by its inverse = H* (``inverse=True``).
 
     H* is Diag(sigma**j) composed with F*, so the forward map is the
-    conjugate twist followed by the forward transform.
+    conjugate twist followed by the forward transform.  Like ``dft_apply``,
+    it acts along the last axis.
     """
     x = np.asarray(x, dtype=np.complex128)
-    twist = sigma_powers(x.shape[0])
+    twist = sigma_powers(x.shape[-1])
     if inverse:
         return twist * np.fft.ifft(x, norm="ortho")
     return np.fft.fft(twist.conj() * x, norm="ortho")

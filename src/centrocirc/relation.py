@@ -75,15 +75,16 @@ def lower_shift_dense(n: int) -> np.ndarray:
 
 def r_apply(r: SpecialTridiag, x) -> np.ndarray:
     """O(n) stencil: y_i = x_{i+1} - x_{i-1}, with the missing neighbours at
-    the two ends replaced by the boundary value itself."""
-    x = as_vector(x)
+    the two ends replaced by the boundary value itself.  x may be an
+    ``(..., n)`` stack; the stencil runs along the last axis."""
+    x = as_vector(x, stacked=True)
     n = r.n
-    if x.shape[0] != n:
-        raise ValueError(f"length mismatch: {n} vs {x.shape[0]}")
-    y = np.empty(n, dtype=np.complex128)
-    y[0] = x[1] - x[0]
-    y[1:-1] = x[2:] - x[:-2]
-    y[-1] = x[-1] - x[-2]
+    if x.shape[-1] != n:
+        raise ValueError(f"length mismatch: {n} vs {x.shape[-1]}")
+    y = np.empty(x.shape, dtype=np.complex128)
+    y[..., 0] = x[..., 1] - x[..., 0]
+    y[..., 1:-1] = x[..., 2:] - x[..., :-2]
+    y[..., -1] = x[..., -1] - x[..., -2]
     return y
 
 
@@ -109,11 +110,12 @@ def eta_minus_etat_coeffs(n: int) -> SkewCirculant:
 
 def r_apply_via_relation(r: SpecialTridiag, x) -> np.ndarray:
     """Apply R_n through its even/odd restrictions: the circulant part acts
-    on the even component, the skew-circulant part on the odd component."""
-    x = as_vector(x)
+    on the even component, the skew-circulant part on the odd component.
+    x may be an ``(..., n)`` stack, transformed along the last axis."""
+    x = as_vector(x, stacked=True)
     n = r.n
-    if x.shape[0] != n:
-        raise ValueError(f"length mismatch: {n} vs {x.shape[0]}")
+    if x.shape[-1] != n:
+        raise ValueError(f"length mismatch: {n} vs {x.shape[-1]}")
     split = even_odd_split(x)
     even_part = circ_matvec(pi_minus_pit_coeffs(n), split.even)
     odd_part = scirc_matvec(eta_minus_etat_coeffs(n), split.odd)

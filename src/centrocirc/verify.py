@@ -35,6 +35,8 @@ from .relation import (
 
 RELATION_SAMPLES = 100
 CENTRO_SAMPLES = 50
+# complex entries per (k, n, n) stack in centro_suite: a few MiB of stacks
+CENTRO_CHUNK_ENTRIES = 16384
 SUITE_NAMES = ("relation", "nilpotent", "centro", "unitary", "all")
 VERIFY_N_MIN = 2
 VERIFY_N_MAX = 64
@@ -67,25 +69,46 @@ def ramp_odd(n: int) -> np.ndarray:
     return (np.minimum(k, n + 1 - k) * np.sign(n + 1 - 2 * k)).astype(np.complex128)
 
 
+def _complex_rows(draws: np.ndarray, n: int) -> np.ndarray:
+    # the first 2n normals of each row as one complex n-vector: the same
+    # numbers, in the same order, as one _complex_normal(rng, n) per row
+    return draws[:, :n] + 1j * draws[:, n:2 * n]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    # 2-norm of each vector of a stack
+    return np.linalg.norm(x, axis=-1)
+
+
+def _fro_norms(x: np.ndarray) -> np.ndarray:
+    # Frobenius norm of each matrix of a stack
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a[i] @ x[i] for each matrix-vector pair of two stacks
+    return (a @ x[..., None])[..., 0]
+
+
 def relation_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
                    tol: float = 1e-10, samples: int = RELATION_SAMPLES) -> list[Metric]:
-    """R_n applied directly vs through its even/odd circulant restrictions."""
+    """R_n applied directly vs through its even/odd circulant restrictions.
+
+    Each n is one stacked computation over the two ramps and the samples.
+    """
     worst_relation = 0.0
     worst_defect = 0.0
     for n in range(n_lo, n_hi + 1):
         r = SpecialTridiag(n)
         d_plus, d_minus = rank_one_defects(n)
-        vectors = [ramp_even(n), ramp_odd(n)]
-        vectors.extend(_complex_normal(rng, n) for _ in range(samples))
-        for x in vectors:
-            scale = n * max(np.linalg.norm(x), 1e-300)
-            diff = np.linalg.norm(r_apply(r, x) - r_apply_via_relation(r, x))
-            worst_relation = max(worst_relation, diff / scale)
-            split = even_odd_split(x)
-            defect = np.linalg.norm(d_plus @ split.even) + np.linalg.norm(
-                d_minus @ split.odd
-            )
-            worst_defect = max(worst_defect, defect / scale)
+        x = np.vstack([ramp_even(n), ramp_odd(n),
+                       _complex_rows(rng.standard_normal((samples, 2 * n)), n)])
+        scale = n * np.maximum(_norms(x), 1e-300)
+        diff = _norms(r_apply(r, x) - r_apply_via_relation(r, x))
+        worst_relation = max(worst_relation, float(np.max(diff / scale)))
+        split = even_odd_split(x)
+        defect = _norms(split.even @ d_plus.T) + _norms(split.odd @ d_minus.T)
+        worst_defect = max(worst_defect, float(np.max(defect / scale)))
     return [
         Metric("max_relation_residual_over_n_normx", worst_relation, tol),
         Metric("max_defect_on_projected_parts", worst_defect, 1e-12),
@@ -108,11 +131,23 @@ def nilpotent_suite(n_lo: int, n_hi: int, tol_nilp: float = 1e-8) -> list[Metric
     return metrics
 
 
+def _chunks(samples: int, n: int):
+    # sample counts whose (k, n, n) stacks stay within the entry budget
+    k = max(1, CENTRO_CHUNK_ENTRIES // (n * n))
+    for start in range(0, samples, k):
+        yield min(k, samples - start)
+
+
 def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
                  roundoff: float = 1e-12, solve_tol: float = 1e-8,
                  samples: int = CENTRO_SAMPLES) -> list[Metric]:
     """Projection algebra, the centro multiplication table, block structure
-    and the half-size solver against the full LU."""
+    and the half-size solver against the full LU.
+
+    The samples of each n are evaluated as stacks, a chunk at a time.  A
+    sample is one row of 2n + 4n^2 normals, x_re | x_im | A_re | A_im |
+    B_re | B_im, which is the order of one vector and two matrix draws.
+    """
     worst_projection = 0.0
     worst_table = 0.0
     worst_parity = 0.0
@@ -121,56 +156,60 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
     worst_solve = 0.0
     for n in range(n_lo, n_hi + 1):
         basis = even_odd_basis(n)
-        for _ in range(samples):
-            x = _complex_normal(rng, n)
+        for k in _chunks(samples, n):
+            draws = rng.standard_normal((k, 2 * n + 4 * n * n))
+            x = _complex_rows(draws, n)
             split = even_odd_split(x)
-            scale = max(np.linalg.norm(x), 1e-300)
+            scale = np.maximum(_norms(x), 1e-300)
             # E+ + E- = I, projections idempotent and orthogonal
-            residual = np.linalg.norm(split.even + split.odd - x)
-            residual += np.linalg.norm(even_odd_split(split.even).even - split.even)
-            residual += np.linalg.norm(even_odd_split(split.even).odd)
-            residual += np.linalg.norm(even_odd_split(split.odd).odd - split.odd)
-            residual += np.linalg.norm(even_odd_split(split.odd).even)
-            worst_projection = max(worst_projection, residual / scale)
+            of_even = even_odd_split(split.even)
+            of_odd = even_odd_split(split.odd)
+            residual = _norms(split.even + split.odd - x)
+            residual += _norms(of_even.even - split.even)
+            residual += _norms(of_even.odd)
+            residual += _norms(of_odd.odd - split.odd)
+            residual += _norms(of_odd.even)
+            worst_projection = max(worst_projection, float(np.max(residual / scale)))
 
-            parts = centro_split(_complex_normal(rng, (n, n)))
-            other = centro_split(_complex_normal(rng, (n, n)))
-            mscale = max(
-                np.linalg.norm(parts.sym) + np.linalg.norm(parts.skew), 1e-300
-            ) * max(np.linalg.norm(other.sym) + np.linalg.norm(other.skew), 1e-300)
-            table = np.linalg.norm(centro_split(parts.sym @ other.sym).skew)
-            table += np.linalg.norm(centro_split(parts.sym @ other.skew).sym)
-            table += np.linalg.norm(centro_split(parts.skew @ other.sym).sym)
-            table += np.linalg.norm(centro_split(parts.skew @ other.skew).skew)
-            worst_table = max(worst_table, table / mscale)
+            mats = draws[:, 2 * n:].reshape(k, 4, n, n)
+            parts = centro_split(mats[:, 0] + 1j * mats[:, 1])
+            other = centro_split(mats[:, 2] + 1j * mats[:, 3])
+            sym_norm = _fro_norms(parts.sym)
+            skew_norm = _fro_norms(parts.skew)
+            parts_norm = np.maximum(sym_norm + skew_norm, 1e-300)
+            other_norm = _fro_norms(other.sym) + _fro_norms(other.skew)
+            mscale = parts_norm * np.maximum(other_norm, 1e-300)
+            table = _fro_norms(centro_split(parts.sym @ other.sym).skew)
+            table += _fro_norms(centro_split(parts.sym @ other.skew).sym)
+            table += _fro_norms(centro_split(parts.skew @ other.sym).sym)
+            table += _fro_norms(centro_split(parts.skew @ other.skew).skew)
+            worst_table = max(worst_table, float(np.max(table / mscale)))
 
-            sym_scale = max(np.linalg.norm(parts.sym), 1e-300) * scale
-            skew_scale = max(np.linalg.norm(parts.skew), 1e-300) * scale
+            sym_scale = np.maximum(sym_norm, 1e-300) * scale
+            skew_scale = np.maximum(skew_norm, 1e-300) * scale
             parity = (
-                np.linalg.norm(even_odd_split(parts.sym @ split.even).odd)
-                + np.linalg.norm(even_odd_split(parts.sym @ split.odd).even)
+                _norms(even_odd_split(_matvecs(parts.sym, split.even)).odd)
+                + _norms(even_odd_split(_matvecs(parts.sym, split.odd)).even)
             ) / sym_scale
-            parity = max(parity, (
-                np.linalg.norm(even_odd_split(parts.skew @ split.even).even)
-                + np.linalg.norm(even_odd_split(parts.skew @ split.odd).odd)
+            parity = np.maximum(parity, (
+                _norms(even_odd_split(_matvecs(parts.skew, split.even)).even)
+                + _norms(even_odd_split(_matvecs(parts.skew, split.odd)).odd)
             ) / skew_scale)
-            worst_parity = max(worst_parity, parity)
+            worst_parity = max(worst_parity, float(np.max(parity)))
 
             # centro-symmetric: off-diagonal blocks vanish; centro-skew: diagonal
-            b11, b12, b21, b22 = block_form(parts.sym, basis)
-            blocks = np.linalg.norm(b12) + np.linalg.norm(b21)
+            _, b12, b21, _ = block_form(parts.sym, basis)
+            blocks = _fro_norms(b12) + _fro_norms(b21)
             k11, _, _, k22 = block_form(parts.skew, basis)
-            blocks += np.linalg.norm(k11) + np.linalg.norm(k22)
-            worst_blocks = max(worst_blocks, blocks / max(
-                np.linalg.norm(parts.sym) + np.linalg.norm(parts.skew), 1e-300))
+            blocks += _fro_norms(k11) + _fro_norms(k22)
+            worst_blocks = max(worst_blocks, float(np.max(blocks / parts_norm)))
 
             # K z = w iff K E+ z = E- w and K E- z = E+ w
-            w = parts.skew @ x
-            wsplit = even_odd_split(w)
-            kscale = max(np.linalg.norm(parts.skew), 1e-300) * scale
-            decomp = np.linalg.norm(parts.skew @ split.even - wsplit.odd)
-            decomp += np.linalg.norm(parts.skew @ split.odd - wsplit.even)
-            worst_decomp = max(worst_decomp, decomp / kscale)
+            wsplit = even_odd_split(_matvecs(parts.skew, x))
+            kscale = np.maximum(skew_norm, 1e-300) * scale
+            decomp = _norms(_matvecs(parts.skew, split.even) - wsplit.odd)
+            decomp += _norms(_matvecs(parts.skew, split.odd) - wsplit.even)
+            worst_decomp = max(worst_decomp, float(np.max(decomp / kscale)))
 
         sym = _random_nonsingular_sym(rng, n)
         w = _complex_normal(rng, n)

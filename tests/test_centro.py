@@ -1,5 +1,7 @@
 """Exchange symmetry: splits, predicates, block forms, half-size solves."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,8 @@ def test_centro_split_recombines_and_classifies():
 def test_centro_split_requires_square():
     with pytest.raises(ValueError):
         centro_split(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        centro_split(np.ones((4, 3, 2)))
 
 
 def test_known_matrices_classify():
@@ -151,6 +155,27 @@ def test_block_form_of_centro_skew_is_block_antidiagonal():
 def test_block_form_shape_check():
     with pytest.raises(ValueError):
         block_form(np.eye(4), even_odd_basis(5))
+    with pytest.raises(ValueError):
+        block_form(np.ones((3, 4, 4)), even_odd_basis(5))
+
+
+def dense_blocks(x, basis):
+    """The dense oracle P*XP, P*XQ, Q*XP, Q*XQ, stacks broadcast by matmul."""
+    ph, qh = basis.p_cols.conj().T, basis.q_cols.conj().T
+    p, q = basis.p_cols, basis.q_cols
+    return ph @ x @ p, ph @ x @ q, qh @ x @ p, qh @ x @ q
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (8, 8), (9, 9), (4, 7, 7)])
+def test_block_form_matches_dense_basis_on_generic_input(shape):
+    # negative control for the block metric: generic X has no zero block, so
+    # a fold that pairs the wrong entries or scales them wrongly shows here
+    rng = np.random.default_rng(sum(shape))
+    basis = even_odd_basis(shape[-1])
+    x = complex_normal(rng, shape)
+    for block, oracle in zip(block_form(x, basis), dense_blocks(x, basis)):
+        assert block.shape == oracle.shape
+        np.testing.assert_allclose(block, oracle, rtol=0, atol=1e-13)
 
 
 def test_solve_centro_symmetric_identity_and_exchange():
@@ -166,7 +191,7 @@ def test_solve_centro_symmetric_identity_and_exchange():
 
 def test_solve_centro_symmetric_matches_full_lu():
     rng = np.random.default_rng(88)
-    for n in (2, 3, 6, 10):
+    for n in (1, 2, 3, 6, 10):  # n = 1 leaves the odd half empty
         a = centro_split(complex_normal(rng, (n, n))).sym
         w = complex_normal(rng, n)
         z_half = solve_centro_symmetric(a, w)
@@ -208,3 +233,26 @@ def test_reflect_eigenpair_rejects_bad_inputs():
     with pytest.raises(ValueError):
         # not an eigenpair: residual far above tolerance
         reflect_eigenpair(k, EigenPair(value=5.0, vector=np.ones(4)))
+
+
+STACKED_CENTRO_KERNELS = {
+    "even_odd_split": (lambda x: astuple(even_odd_split(x)), 1),
+    "centro_split": (lambda x: astuple(centro_split(x)), 2),
+    "block_form": (lambda x: block_form(x, even_odd_basis(x.shape[-1])), 2),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("kernel", sorted(STACKED_CENTRO_KERNELS))
+def test_stacked_centro_kernels_match_rows(kernel, n):
+    # slicing kernels: a stack along the leading axes gives exactly the rows
+    func, core = STACKED_CENTRO_KERNELS[kernel]
+    rng = np.random.default_rng(300 + n)
+    stack = complex_normal(rng, (2, 3) + (n,) * core)
+    stacked = func(stack)
+    for index in np.ndindex(2, 3):
+        for part, row in zip(stacked, func(stack[index])):
+            np.testing.assert_array_equal(part[index], row)
+    stack[1, 2][(0,) * core] = np.nan
+    with pytest.raises(ValueError):
+        func(stack)

@@ -189,6 +189,11 @@ def test_matvec_matches_dense(n):
     s = SkewCirculant(rng.standard_normal(n))
     np.testing.assert_allclose(circ_matvec(c, x), circ_dense(c) @ x, atol=1e-12)
     np.testing.assert_allclose(scirc_matvec(s, x), scirc_dense(s) @ x, atol=1e-12)
+    # a (2, 3, n) stack is multiplied vector by vector along the last axis
+    stack = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    for matvec, operator in ((circ_matvec, c), (scirc_matvec, s)):
+        rows = [[matvec(operator, row) for row in block] for block in stack]
+        np.testing.assert_allclose(matvec(operator, stack), rows, rtol=0, atol=1e-13)
 
 
 def test_matvec_length_mismatch():
@@ -196,6 +201,19 @@ def test_matvec_length_mismatch():
         circ_matvec(basic_circulant(4), np.ones(5))
     with pytest.raises(ValueError):
         scirc_matvec(basic_skew_circulant(4), np.ones(3))
+    with pytest.raises(ValueError):
+        circ_matvec(basic_circulant(4), np.ones((3, 5)))
+    with pytest.raises(ValueError):
+        scirc_matvec(basic_skew_circulant(4), np.ones((4, 3)))
+
+
+def test_matvec_rejects_nonfinite_row():
+    x = np.ones((3, 4), dtype=np.complex128)
+    x[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        circ_matvec(basic_circulant(4), x)
+    with pytest.raises(ValueError):
+        scirc_matvec(basic_skew_circulant(4), x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])

@@ -78,6 +78,14 @@ def test_format_complex():
         ("verify", "all", "1..4"),
         ("verify", "all", "2..100"),
         ("verify", "all", "2-4"),
+        # non-finite input is a usage error, not a failed verification
+        ("spectrum", "circ", "1,nan,2"),
+        ("spectrum", "scirc", "1,1e400"),
+        ("spectrum", "circ", "1,2", "--tol", "nan"),
+        ("spectrum", "r-even", "8", "--tol", "-1"),
+        ("verify", "relation", "2..4", "--tol", "nan"),
+        ("verify", "relation", "2..4", "--tol", "inf"),
+        ("verify", "centro", "2..4", "--tol=-1e-3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

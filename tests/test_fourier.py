@@ -106,6 +106,12 @@ def test_h_apply_matches_dense():
         h_star = make_fourier_pack(n).h_star
         np.testing.assert_allclose(h_apply(x), h_star.conj().T @ x, atol=1e-12)
         np.testing.assert_allclose(h_apply(x, inverse=True), h_star @ x, atol=1e-12)
+        # the twist follows the last axis of a stack
+        stack = np.stack([x, 2 * x[::-1]])
+        for inverse in (False, True):
+            rows = [h_apply(row, inverse=inverse) for row in stack]
+            np.testing.assert_allclose(h_apply(stack, inverse=inverse), rows,
+                                       rtol=0, atol=1e-13)
 
 
 @settings(max_examples=50, deadline=None)

@@ -89,6 +89,26 @@ def test_r_apply_matches_dense():
         )
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+@pytest.mark.parametrize("func", [r_apply, r_apply_via_relation],
+                         ids=lambda func: func.__name__)
+def test_stacked_r_kernels_match_rows(func, n):
+    # the stencil is exact row by row; the FFT path agrees to round-off
+    r = SpecialTridiag(n)
+    rng = np.random.default_rng(400 + n)
+    stack = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    rows = [[func(r, row) for row in block] for block in stack]
+    if func is r_apply:
+        np.testing.assert_array_equal(func(r, stack), rows)
+    else:
+        np.testing.assert_allclose(func(r, stack), rows, rtol=0, atol=1e-13)
+    with pytest.raises(ValueError):
+        func(r, np.ones((3, n + 1)))
+    stack[1, 0, n - 1] = np.inf
+    with pytest.raises(ValueError):
+        func(r, stack)
+
+
 def test_restriction_coeff_pictures_5():
     even = circ_dense(pi_minus_pit_coeffs(5))
     odd = scirc_dense(eta_minus_etat_coeffs(5))
