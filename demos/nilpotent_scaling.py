@@ -24,9 +24,8 @@ np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
 def main():
     n = 6
-    scaling = nilpotent_scaling(n)
     print(f"Row scalings f for n = {n}:")
-    print(scaling.f)
+    print(nilpotent_scaling(n))
 
     a = nilpotent_realization(n)
     print("\nThe scaled operator Diag(f) R:")

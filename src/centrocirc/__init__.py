@@ -14,23 +14,18 @@ from .dense import (
     DEFAULT_TOL,
     SingularMatrixError,
     Tolerance,
-    conj_transpose,
     frobenius_norm,
     is_unitary,
-    mat_mul,
-    mat_vec,
     matrix_power,
     solve_dense,
 )
 from .fourier import (
     FourierPack,
-    RootOfUnity,
     dft_apply,
     fourier_star_dense,
     h_apply,
     make_fourier_pack,
     omega_powers,
-    root_of_unity,
     sigma_powers,
 )
 from .circulant import (
@@ -72,7 +67,6 @@ from .centro import (
 )
 from .relation import (
     ComplexEntriesError,
-    NilpotentScaling,
     SignPattern,
     SpecialTridiag,
     eta_minus_etat_coeffs,

@@ -16,6 +16,7 @@ import numpy as np
 from .dense import (
     DEFAULT_TOL,
     Tolerance,
+    _require_square,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -77,9 +78,7 @@ class CentroSplit:
 
 def centro_split(x) -> CentroSplit:
     """Split X, or each matrix of an ``(..., n, n)`` stack on the last two axes."""
-    x = as_matrix(x, stacked=True)
-    if x.shape[-2] != x.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    x = _require_square(as_matrix(x, stacked=True))
     fx = _flip_conjugate(x)
     return CentroSplit(sym=(x + fx) / 2, skew=(x - fx) / 2)
 
@@ -90,16 +89,12 @@ def _entrywise_tol(x: np.ndarray, tol: Tolerance) -> float:
 
 
 def is_centro_symmetric(x, tol: Tolerance = DEFAULT_TOL) -> bool:
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    x = _require_square(as_matrix(x))
     return bool(np.max(np.abs(x - _flip_conjugate(x))) <= _entrywise_tol(x, tol))
 
 
 def is_centro_skew(x, tol: Tolerance = DEFAULT_TOL) -> bool:
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    x = _require_square(as_matrix(x))
     return bool(np.max(np.abs(x + _flip_conjugate(x))) <= _entrywise_tol(x, tol))
 
 

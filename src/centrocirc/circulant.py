@@ -10,7 +10,9 @@ algebra: ``Circ(c) = c_1 I + c_2 pi + ... + c_n pi**(n-1)``, and likewise the
 basic skew-circulant generates the skew-circulants.  Products therefore
 reduce to cyclic (resp. negacyclic) convolution of coefficient vectors, and
 the eigenvalues are the coefficient polynomial evaluated at n-th roots of
-unity (resp. at odd powers of the 2n-th root).
+unity (resp. at odd powers of the 2n-th root).  One FFT of the first row
+(resp. of its sigma twist) gives all n of them at once; ``circ_spectrum``
+and ``scirc_spectrum`` are the only place they are computed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import as_vector
-from .fourier import fourier_star_dense, dft_apply, h_apply, sigma_powers
+from .fourier import (
+    dft_apply,
+    fourier_star_dense,
+    h_apply,
+    make_fourier_pack,
+    sigma_powers,
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,10 @@ def scirc_transpose(s: SkewCirculant) -> SkewCirculant:
 
 
 def poly_eval(a, t: complex) -> complex:
-    """Horner evaluation of a_1 + a_2 t + ... + a_n t**(n-1)."""
+    """Horner evaluation of a_1 + a_2 t + ... + a_n t**(n-1).
+
+    The reference the FFT spectra are tested against, one point at a time.
+    """
     a = as_vector(a)
     acc = complex(a[-1])
     for coeff in a[-2::-1]:
@@ -144,25 +155,17 @@ def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
 
 
 def circ_eigenpairs(c: Circulant) -> list[EigenPair]:
-    """Analytic eigenpairs: value p_c(omega**k), unit vector column k of F*."""
-    n = c.n
-    f_star = fourier_star_dense(n)
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    return [
-        EigenPair(value=poly_eval(c.coeffs, roots[k]), vector=f_star[:, k])
-        for k in range(n)
-    ]
+    """Analytic eigenpairs: value circ_spectrum(c)[k], unit vector column k of F*."""
+    f_star = fourier_star_dense(c.n)
+    values = circ_spectrum(c)
+    return [EigenPair(value=values[k], vector=f_star[:, k]) for k in range(c.n)]
 
 
 def scirc_eigenpairs(s: SkewCirculant) -> list[EigenPair]:
-    """Analytic eigenpairs: value p_a(sigma**(2k+1)), vector column k of H*."""
-    n = s.n
-    h_star = sigma_powers(n)[:, None] * fourier_star_dense(n)
-    roots = np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n)
-    return [
-        EigenPair(value=poly_eval(s.coeffs, roots[k]), vector=h_star[:, k])
-        for k in range(n)
-    ]
+    """Analytic eigenpairs: value scirc_spectrum(s)[k], vector column k of H*."""
+    h_star = make_fourier_pack(s.n).h_star
+    values = scirc_spectrum(s)
+    return [EigenPair(value=values[k], vector=h_star[:, k]) for k in range(s.n)]
 
 
 def _folded_product(a: np.ndarray, b: np.ndarray, fold_sign: float) -> np.ndarray:

@@ -4,9 +4,13 @@ Grammar::
 
     centrocirc show {r,pi,eta,exchange,fourier,h,shift} N [--format F]
     centrocirc spectrum {circ,scirc} C1,C2,...   [--format F] [--tol X]
+    centrocirc spectrum {circ,scirc} [--format F] [--tol X] -- C1,C2,...
     centrocirc spectrum {r-even,r-odd} N         [--format F] [--tol X]
     centrocirc verify {relation,nilpotent,centro,unitary,all} LO..HI
                       [--seed N] [--format F] [--tol X]
+
+A coefficient list whose first entry is negative must follow ``--``, or it
+is read as an option.
 
 Formats: ``pretty`` (default), ``json``, ``csv``.  JSON reports follow the
 schema ``{"command", "n", "status", "metrics": [{"name", "value", "bound"}],
@@ -23,13 +27,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import make_fourier_pack
+from .fourier import fourier_star_dense, make_fourier_pack
 from .circulant import (
     Circulant,
     SkewCirculant,
@@ -102,7 +107,10 @@ def _status(metrics: list[Metric]) -> str:
 
 
 def _parse_scalar(token: str) -> complex:
-    text = token.strip().replace("i", "j")
+    # rewrite only a trailing imaginary unit: "inf" must reach the finiteness check
+    text = token.strip()
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
         return complex(text)
     except ValueError:
@@ -160,7 +168,7 @@ def cmd_show(kind: str, size_text: str) -> CommandReport:
         "pi": lambda: circ_dense(basic_circulant(n)),
         "eta": lambda: scirc_dense(basic_skew_circulant(n)),
         "exchange": lambda: exchange_dense(n),
-        "fourier": lambda: make_fourier_pack(n).f_star,
+        "fourier": lambda: fourier_star_dense(n),
         "h": lambda: make_fourier_pack(n).h_star,
         "shift": lambda: lower_shift_dense(n),
     }
@@ -286,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", parents=[common],
                               help="print eigenvalues with residual metrics")
     spectrum.add_argument("kind", choices=SPECTRUM_KINDS)
-    spectrum.add_argument("arg", help="comma-separated coefficients, or a size")
+    spectrum.add_argument("arg", help="comma-separated coefficients, or a size; "
+                                      "a list starting with '-' must follow '--'")
 
     verify = sub.add_parser("verify", parents=[common],
                             help="run a seeded invariant suite over a size range")
@@ -297,11 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> tuple[str | None, int]:
+    """The rendered report (None when there is none) and the exit code."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return 2 if exc.code is None else int(exc.code)
+        return None, 2 if exc.code is None else int(exc.code)
     try:
         if args.command == "show":
             report = cmd_show(args.kind, args.n)
@@ -311,10 +321,25 @@ def main(argv=None) -> int:
             report = cmd_verify(args.suite, args.range, seed=args.seed, tol=args.tol)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(report, args.format))
-    return 0 if report.status == "pass" else 1
+        return None, 2
+    return render_report(report, args.format), 0 if report.status == "pass" else 1
+
+
+def main(argv=None) -> int:
+    text, code = _run(argv)
+    if text is not None:
+        print(text)
+    return code
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    text, code = _run(None)
+    try:
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the flush at
+        # shutdown cannot raise again, then exit with the report's own code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -69,30 +69,10 @@ def as_matrix(a, stacked: bool = False) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
+    # the one square check: a matrix, or each matrix of a stack on the last two axes
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product; exact when the inputs hold small integers."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
-def mat_vec(a, x) -> np.ndarray:
-    a = as_matrix(a)
-    x = as_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} x {x.shape}")
-    return a @ x
-
-
-def conj_transpose(a) -> np.ndarray:
-    return as_matrix(a).conj().T
 
 
 def frobenius_norm(a) -> float:

@@ -21,22 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """The pair omega = exp(2i*pi/n), sigma = exp(i*pi/n) for one size n."""
-
-    n: int
-    omega: complex
-    sigma: complex
-
-
-def root_of_unity(n: int) -> RootOfUnity:
-    n = int(n)
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    return RootOfUnity(n=n, omega=np.exp(2j * np.pi / n), sigma=np.exp(1j * np.pi / n))
-
-
 def omega_powers(n: int) -> np.ndarray:
     """[omega**0, ..., omega**(n-1)], each from its exact angle."""
     if n < 1:
@@ -63,28 +47,18 @@ def fourier_star_dense(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierPack:
-    """Dense transform matrices and diagonals for one size n."""
+    """The dense transform matrices F* and H* for one size n."""
 
     n: int
     f_star: np.ndarray
-    omega_diag: np.ndarray
-    omega_half_diag: np.ndarray
     h_star: np.ndarray
 
 
 def make_fourier_pack(n: int) -> FourierPack:
+    """F* and the one definition of H* = Diag(sigma**j) @ F*."""
     n = int(n)
-    if n < 1:
-        raise ValueError("size must be >= 1")
     f_star = fourier_star_dense(n)
-    omega_half = sigma_powers(n)
-    return FourierPack(
-        n=n,
-        f_star=f_star,
-        omega_diag=omega_powers(n),
-        omega_half_diag=omega_half,
-        h_star=omega_half[:, None] * f_star,
-    )
+    return FourierPack(n=n, f_star=f_star, h_star=sigma_powers(n)[:, None] * f_star)
 
 
 def dft_apply(x, inverse: bool = False) -> np.ndarray:

@@ -23,15 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DEFAULT_TOL, Tolerance, as_matrix, as_vector, matrix_power
+from .dense import (
+    DEFAULT_TOL,
+    Tolerance,
+    _require_square,
+    as_matrix,
+    as_vector,
+    matrix_power,
+)
 from .circulant import (
     Circulant,
     SkewCirculant,
     circ_dense,
     circ_matvec,
-    poly_eval,
+    circ_spectrum,
     scirc_dense,
     scirc_matvec,
+    scirc_spectrum,
 )
 from .centro import even_odd_split
 
@@ -145,72 +153,52 @@ def restriction_spectra(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the two restrictions of R_n.
 
     The even restriction pi - pi^T has values 2i sin(2 pi (k-1) / n) and the
-    odd restriction eta - eta^T has values 2i sin((2k-1) pi / n), obtained by
-    evaluating the coefficient polynomials at their roots of unity.
+    odd restriction eta - eta^T has values 2i sin((2k-1) pi / n), computed by
+    the FFT of the first row (``circ_spectrum``) and of its sigma twist
+    (``scirc_spectrum``).
     """
-    if n < 2:
-        raise ValueError("size must be >= 2")
-    even_coeffs = pi_minus_pit_coeffs(n).coeffs
-    odd_coeffs = eta_minus_etat_coeffs(n).coeffs
-    circ_roots = np.exp(2j * np.pi * np.arange(n) / n)
-    scirc_roots = np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n)
-    even_values = np.array([poly_eval(even_coeffs, t) for t in circ_roots])
-    odd_values = np.array([poly_eval(odd_coeffs, t) for t in scirc_roots])
-    return even_values, odd_values
+    return circ_spectrum(pi_minus_pit_coeffs(n)), scirc_spectrum(eta_minus_etat_coeffs(n))
 
 
 @dataclass(frozen=True)
 class SignPattern:
-    """n x n matrix with entries in {-1, 0, +1}."""
+    """Square matrix with entries in {-1, 0, +1}."""
 
-    n: int
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int64)
-        if entries.shape != (self.n, self.n):
-            raise ValueError(f"expected shape {(self.n, self.n)}, got {entries.shape}")
+        entries = _require_square(as_matrix(self.entries))
         if not np.all(np.isin(entries, (-1, 0, 1))):
             raise ValueError("sign pattern entries must be -1, 0 or +1")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", entries.real.astype(np.int64))
 
 
 def sign_pattern_of(a, tol: Tolerance = DEFAULT_TOL) -> SignPattern:
     """Entrywise signum with dead zone |a_ij| <= abs_eps -> 0."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _require_square(as_matrix(a))
     if np.max(np.abs(a.imag)) > tol.abs_eps:
         raise ComplexEntriesError("matrix has entries with nonreal parts")
     real = a.real
     signs = np.sign(real).astype(np.int64)
     signs[np.abs(real) <= tol.abs_eps] = 0
-    return SignPattern(n=a.shape[0], entries=signs)
+    return SignPattern(signs)
 
 
 def has_sign_pattern(a, pattern: SignPattern, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(np.array_equal(sign_pattern_of(a, tol).entries, pattern.entries))
 
 
-@dataclass(frozen=True)
-class NilpotentScaling:
-    """Positive diagonal f with f_k = 1 / (2 sin((2k-1) pi / (2n)))."""
-
-    n: int
-    f: np.ndarray
-
-
-def nilpotent_scaling(n: int) -> NilpotentScaling:
+def nilpotent_scaling(n: int) -> np.ndarray:
+    """The positive diagonal f with f_k = 1 / (2 sin((2k-1) pi / (2n)))."""
     if n < 2:
         raise ValueError("size must be >= 2")
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
-    return NilpotentScaling(n=n, f=1.0 / (2.0 * np.sin(theta)))
+    return 1.0 / (2.0 * np.sin(theta))
 
 
 def nilpotent_realization(n: int) -> np.ndarray:
     """Diag(f) @ R_n: a nilpotent matrix with the sign pattern of R_n."""
-    scaling = nilpotent_scaling(n)
-    return scaling.f[:, None] * r_dense(SpecialTridiag(n))
+    return nilpotent_scaling(n)[:, None] * r_dense(SpecialTridiag(n))
 
 
 def verify_nilpotent(a, tol_nilp: float = 1e-8) -> bool:
@@ -220,9 +208,7 @@ def verify_nilpotent(a, tol_nilp: float = 1e-8) -> bool:
     relative to ||A||**n because powering amplifies round-off by roughly
     that factor.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _require_square(as_matrix(a))
     n = a.shape[0]
     norm = float(np.linalg.norm(a))
     power_norm = float(np.linalg.norm(matrix_power(a, n)))

@@ -90,10 +90,13 @@ def test_centro_split_recombines_and_classifies():
 
 
 def test_centro_split_requires_square():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         centro_split(np.ones((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         centro_split(np.ones((4, 3, 2)))
+    for predicate in (is_centro_symmetric, is_centro_skew):
+        with pytest.raises(ValueError, match="square"):
+            predicate(np.ones((3, 2)))
 
 
 def test_known_matrices_classify():

@@ -221,11 +221,13 @@ def test_eigenpairs_residuals(n):
     rng = np.random.default_rng(300 + n)
     c = Circulant(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     s = SkewCirculant(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    for dense, pairs in (
-        (circ_dense(c), circ_eigenpairs(c)),
-        (scirc_dense(s), scirc_eigenpairs(s)),
+    for dense, pairs, spectrum in (
+        (circ_dense(c), circ_eigenpairs(c), circ_spectrum(c)),
+        (scirc_dense(s), scirc_eigenpairs(s), scirc_spectrum(s)),
     ):
         assert len(pairs) == n
+        # one eigenvalue path: the pairs carry the FFT spectrum unchanged
+        np.testing.assert_array_equal([pair.value for pair in pairs], spectrum)
         for pair in pairs:
             assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
             residual = np.linalg.norm(dense @ pair.vector - pair.value * pair.vector)

@@ -124,6 +124,21 @@ def test_spectrum_accepts_i_suffix(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+@pytest.mark.parametrize("coeffs", ["inf,1", "1,-inf"])
+def test_spectrum_infinite_coefficient_is_rejected_as_nonfinite(capsys, coeffs):
+    code, out, err = run_cli(capsys, "spectrum", "circ", coeffs)
+    assert code == 2
+    assert "finite" in err
+    assert out == ""
+
+
+def test_spectrum_negative_leading_coefficient_after_double_dash(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "circ", "--format", "json", "--", "-0.5,1")
+    assert code == 0
+    values = [complex(re, im) for re, im in json.loads(out)["payload"]["entries"]]
+    np.testing.assert_allclose(values, [0.5, -1.5], atol=1e-15)
+
+
 def test_spectrum_r_kinds(capsys):
     for kind in ("r-even", "r-odd"):
         code, out, _ = run_cli(capsys, "spectrum", kind, "8", "--format", "json")
@@ -177,3 +192,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("show shift")
+
+
+def test_closed_stdout_exits_with_report_code_and_no_traceback():
+    # the pretty n = 200 transform is far larger than a pipe buffer, so the
+    # writer is still blocked when the reader hangs up after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "centrocirc", "show", "fourier", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert first.startswith(b"show fourier")
+    assert err == b""

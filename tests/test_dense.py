@@ -7,11 +7,8 @@ from centrocirc import (
     DEFAULT_TOL,
     SingularMatrixError,
     Tolerance,
-    conj_transpose,
     frobenius_norm,
     is_unitary,
-    mat_mul,
-    mat_vec,
     matrix_power,
     solve_dense,
 )
@@ -50,20 +47,6 @@ def test_as_matrix_rejects_vector_and_nonfinite():
         as_matrix([1, 2, 3])
     with pytest.raises(ValueError):
         as_matrix([[1.0, float("nan")], [0.0, 1.0]])
-
-
-def test_mat_mul_and_mat_vec_small_oracle():
-    # ((1,2),(3,4)) @ ((5,6),(7,8)) = ((19,22),(43,50)), worked by hand
-    a = [[1, 2], [3, 4]]
-    b = [[5, 6], [7, 8]]
-    np.testing.assert_array_equal(mat_mul(a, b), [[19, 22], [43, 50]])
-    np.testing.assert_array_equal(mat_vec(a, [1, 1]), [3, 7])
-
-
-def test_conj_transpose():
-    a = np.array([[1 + 2j, 3], [0, 4 - 1j]])
-    expected = np.array([[1 - 2j, 0], [3, 4 + 1j]])
-    np.testing.assert_array_equal(conj_transpose(a), expected)
 
 
 def test_frobenius_norm_known_value():

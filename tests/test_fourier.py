@@ -16,7 +16,6 @@ from centrocirc import (
     is_unitary,
     make_fourier_pack,
     omega_powers,
-    root_of_unity,
     sigma_powers,
 )
 
@@ -31,16 +30,9 @@ def naive_f_star(n):
     return out / np.sqrt(n)
 
 
-def test_root_of_unity_small_cases():
-    r4 = root_of_unity(4)
-    assert r4.omega == pytest.approx(1j)
-    assert r4.sigma == pytest.approx(np.exp(1j * np.pi / 4))
-    r2 = root_of_unity(2)
-    assert r2.omega == pytest.approx(-1.0)
-    assert r2.sigma == pytest.approx(1j)
-
-
 def test_omega_powers_cycle():
+    assert omega_powers(4)[1] == pytest.approx(1j)
+    assert omega_powers(2)[1] == pytest.approx(-1.0)
     w = omega_powers(6)
     assert w[0] == 1.0
     # conj(omega^k) = omega^(n-k)
@@ -49,6 +41,8 @@ def test_omega_powers_cycle():
 
 
 def test_sigma_powers_square_to_omega_powers():
+    assert sigma_powers(4)[1] == pytest.approx(np.exp(1j * np.pi / 4))
+    assert sigma_powers(2)[1] == pytest.approx(1j)
     n = 8
     np.testing.assert_allclose(sigma_powers(n) ** 2, omega_powers(n), atol=1e-14)
     # sigma^n = -1: the defining property of the half-angle root
@@ -138,6 +132,8 @@ def test_transforms_preserve_norm():
 
 def test_sizes_below_one_rejected():
     with pytest.raises(ValueError):
-        root_of_unity(0)
+        omega_powers(0)
+    with pytest.raises(ValueError):
+        sigma_powers(0)
     with pytest.raises(ValueError):
         fourier_star_dense(0)

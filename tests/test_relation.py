@@ -192,6 +192,14 @@ def test_restriction_spectra_frozen_4():
     np.testing.assert_allclose(odd, [s * 1j, s * 1j, -s * 1j, -s * 1j], atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3, 256, 1024])
+def test_restriction_spectra_match_closed_form(n):
+    even, odd = restriction_spectra(n)
+    k = np.arange(n)
+    assert np.max(np.abs(even - 2j * np.sin(2 * np.pi * k / n))) <= 1e-14
+    assert np.max(np.abs(odd - 2j * np.sin((2 * k + 1) * np.pi / n))) <= 1e-14
+
+
 def test_restriction_spectra_match_dense_eigenvalues():
     for n in (3, 5, 8):
         even, odd = restriction_spectra(n)
@@ -221,20 +229,31 @@ def test_sign_pattern_dead_zone_and_complex_rejection():
 def test_sign_pattern_validation():
     from centrocirc import SignPattern
 
+    signs = [[1, 0], [0, -1]]
+    np.testing.assert_array_equal(SignPattern(signs).entries, signs)
     with pytest.raises(ValueError):
-        SignPattern(n=2, entries=np.array([[2, 0], [0, 1]]))
+        SignPattern(np.array([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        SignPattern(n=3, entries=np.zeros((2, 2), dtype=np.int64))
+        SignPattern(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError):
+        SignPattern(np.zeros(4, dtype=np.int64))
+
+
+def test_square_checks_reject_nonsquare_input():
+    with pytest.raises(ValueError, match="square"):
+        sign_pattern_of(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        verify_nilpotent(np.zeros((3, 2)))
 
 
 def test_nilpotent_scaling_frozen_2():
-    scaling = nilpotent_scaling(2)
     s = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(scaling.f, [s, s], atol=1e-15)
+    np.testing.assert_allclose(nilpotent_scaling(2), [s, s], atol=1e-15)
 
 
 def test_nilpotent_scaling_shape():
-    f = nilpotent_scaling(9).f
+    f = nilpotent_scaling(9)
+    assert f.shape == (9,)
     assert np.all(f > 0)
     # angles are symmetric about pi/2, so the ends peak and the middle dips
     assert f[0] == pytest.approx(f[-1])
