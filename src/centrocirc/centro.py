@@ -63,7 +63,11 @@ class EvenOddSplit:
 
 def even_odd_split(x) -> EvenOddSplit:
     """Split x, or each vector of an ``(..., n)`` stack along the last axis."""
-    x = as_vector(x, stacked=True)
+    return _split_parity(as_vector(x, stacked=True))
+
+
+def _split_parity(x: np.ndarray) -> EvenOddSplit:
+    # the split by index reversal, for an already checked stack x
     rx = x[..., ::-1]
     return EvenOddSplit(even=(x + rx) / 2, odd=(x - rx) / 2)
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from .dense import as_vector
 from .fourier import (
+    _twisted_apply,
     dft_apply,
     fourier_star_dense,
-    h_apply,
     make_fourier_pack,
     sigma_powers,
 )
@@ -83,18 +83,21 @@ def basic_skew_circulant(n: int) -> SkewCirculant:
     return SkewCirculant(coeffs)
 
 
+def _shifted_rows(doubled: np.ndarray) -> np.ndarray:
+    # row i is doubled[n - i : 2n - i], so entry (i, j) is doubled[n + j - i]
+    n = doubled.shape[0] // 2
+    return np.lib.stride_tricks.sliding_window_view(doubled, n)[n:0:-1].copy()
+
+
 def circ_dense(c: Circulant) -> np.ndarray:
-    n = c.n
-    i, j = np.indices((n, n))
-    return c.coeffs[(j - i) % n]
+    """Entry (i, j) is c[(j - i) % n]: windows of the doubled row (c, c)."""
+    return _shifted_rows(np.concatenate((c.coeffs, c.coeffs)))
 
 
 def scirc_dense(s: SkewCirculant) -> np.ndarray:
-    n = s.n
-    i, j = np.indices((n, n))
-    out = s.coeffs[(j - i) % n].copy()
-    out[j < i] *= -1
-    return out + 0.0  # clear negative zeros left by the sign flip
+    """Windows of (-a, a): the entries below the diagonal come from -a."""
+    # + 0.0 clears the negative zeros of the sign flip
+    return _shifted_rows(np.concatenate((-s.coeffs, s.coeffs)) + 0.0)
 
 
 def circ_transpose(c: Circulant) -> Circulant:
@@ -130,7 +133,28 @@ def circ_spectrum(c: Circulant) -> np.ndarray:
 
 def scirc_spectrum(s: SkewCirculant) -> np.ndarray:
     """Eigenvalues p_a at sigma**(2k+1), via the sigma twist of the coeffs."""
-    return s.n * np.fft.ifft(s.coeffs * sigma_powers(s.n))
+    return _twisted_spectrum(s, sigma_powers(s.n))
+
+
+def _twisted_spectrum(s: SkewCirculant, twist: np.ndarray) -> np.ndarray:
+    # The product takes a temporary copy of the twist, as it would a fresh
+    # sigma_powers(n): numpy may then compute it in place in that operand,
+    # which rounds differently from coeffs * twist under FMA.  The spectrum
+    # is thus bit for bit the same for a shared twist as for a fresh one.
+    return s.n * np.fft.ifft(s.coeffs * twist.copy())
+
+
+def _circ_product(c: Circulant, x: np.ndarray) -> np.ndarray:
+    # Circ(c) @ x for an already checked (..., n) stack x
+    return dft_apply(circ_spectrum(c) * dft_apply(x), inverse=True)
+
+
+def _scirc_product(s: SkewCirculant, x: np.ndarray) -> np.ndarray:
+    # SCirc(a) @ x for an already checked (..., n) stack x; the spectrum, H
+    # and H* share one twist sigma_powers(n)
+    twist = sigma_powers(s.n)
+    scaled = _twisted_spectrum(s, twist) * _twisted_apply(x, twist, False)
+    return _twisted_apply(scaled, twist, True)
 
 
 def circ_matvec(c: Circulant, x) -> np.ndarray:
@@ -141,17 +165,19 @@ def circ_matvec(c: Circulant, x) -> np.ndarray:
     x = as_vector(x, stacked=True)
     if x.shape[-1] != c.n:
         raise ValueError(f"length mismatch: {c.n} vs {x.shape[-1]}")
-    return dft_apply(circ_spectrum(c) * dft_apply(x), inverse=True)
+    return _circ_product(c, x)
 
 
 def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
     """Fast product SCirc(a) @ x through the twisted transform.
 
-    x may be an ``(..., n)`` stack, as for ``circ_matvec``."""
+    x may be an ``(..., n)`` stack, as for ``circ_matvec``.  The twist
+    ``sigma_powers(n)`` is computed once per call and shared by the spectrum,
+    the forward H and the inverse H*."""
     x = as_vector(x, stacked=True)
     if x.shape[-1] != s.n:
         raise ValueError(f"length mismatch: {s.n} vs {x.shape[-1]}")
-    return h_apply(scirc_spectrum(s) * h_apply(x), inverse=True)
+    return _scirc_product(s, x)
 
 
 def circ_eigenpairs(c: Circulant) -> list[EigenPair]:

@@ -19,7 +19,8 @@ additionally carry ``"seed"`` and ``"n_range"``.  Complex numbers are
 ``[re, im]`` pairs in JSON and ``re+imi`` strings in CSV.
 
 Exit codes: 0 when the report status is pass, 1 on a verification failure,
-2 on a usage error.  Randomness comes only from the seeded PCG64 generator,
+2 on a usage error (a negative seed, or a spectrum whose residual bound or
+eigenvalues overflow, is one).  Randomness comes only from the seeded PCG64 generator,
 so identical command lines print identical bytes.
 """
 
@@ -41,9 +42,9 @@ from .circulant import (
     basic_circulant,
     basic_skew_circulant,
     circ_dense,
-    circ_eigenpairs,
+    circ_spectrum,
     scirc_dense,
-    scirc_eigenpairs,
+    scirc_spectrum,
 )
 from .centro import exchange_dense
 from .relation import (
@@ -185,22 +186,38 @@ def cmd_spectrum(kind: str, arg: str,
     _check_tol(tol)
     if kind == "circ":
         matrix = Circulant(_parse_coeffs(arg))
-        pairs, dense = circ_eigenpairs(matrix), circ_dense(matrix)
     elif kind == "scirc":
         matrix = SkewCirculant(_parse_coeffs(arg))
-        pairs, dense = scirc_eigenpairs(matrix), scirc_dense(matrix)
     elif kind == "r-even":
         matrix = pi_minus_pit_coeffs(_parse_size(arg, 2, SHOW_N_MAX))
-        pairs, dense = circ_eigenpairs(matrix), circ_dense(matrix)
     else:
         matrix = eta_minus_etat_coeffs(_parse_size(arg, 2, SHOW_N_MAX))
-        pairs, dense = scirc_eigenpairs(matrix), scirc_dense(matrix)
     n = matrix.n
-    values = np.array([p.value for p in pairs])
-    vectors = np.column_stack([p.vector for p in pairs])
-    residual = float(np.max(np.linalg.norm(dense @ vectors - vectors * values, axis=0)))
-    coeff_norm = float(np.linalg.norm(matrix.coeffs))
-    metrics = [Metric("max_eigenpair_residual", residual, tol * n * max(coeff_norm, 1.0))]
+    # the eigenvectors are the columns of F* (circulant) or H* (skew); the
+    # dense residual checks them against the FFT values independently
+    with np.errstate(over="ignore", invalid="ignore"):
+        # finite input can still overflow here; that is rejected just below
+        coeff_norm = float(np.linalg.norm(matrix.coeffs))
+        if isinstance(matrix, Circulant):
+            values, vectors, dense = (circ_spectrum(matrix), fourier_star_dense(n),
+                                      circ_dense(matrix))
+        else:
+            values, vectors, dense = (scirc_spectrum(matrix), make_fourier_pack(n).h_star,
+                                      scirc_dense(matrix))
+    if not np.all(np.isfinite(values)):
+        raise UsageError("the spectrum of these coefficients overflows")
+    bound = tol * n * max(coeff_norm, 1.0)
+    if not np.isfinite(bound):
+        raise UsageError(f"the residual bound overflows (tolerance {tol!r}, n = {n}, "
+                         f"coefficient norm {coeff_norm!r})")
+    residual = dense @ vectors
+    vectors *= values  # vectors is a fresh array and not read again
+    residual -= vectors
+    # free the n x n inputs before the norm takes its own n x n temporary:
+    # at n = 1024 that moment is the command's peak memory
+    del dense, vectors
+    metrics = [Metric("max_eigenpair_residual",
+                      float(np.max(np.linalg.norm(residual, axis=0))), bound)]
     return CommandReport(
         command=f"spectrum {kind}", n=n, status=_status(metrics),
         metrics=metrics, payload=matrix_payload(values),
@@ -212,6 +229,8 @@ def cmd_verify(suite: str, range_text: str, seed: int = DEFAULT_SEED,
     if suite not in SUITE_NAMES:
         raise UsageError(f"unknown suite {suite!r}")
     lo, hi = _parse_range(range_text)
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     metrics = run_suite(suite, lo, hi, seed, relation_tol=_check_tol(tol))
     return CommandReport(
         command=f"verify {suite}", n=hi, status=_status(metrics),

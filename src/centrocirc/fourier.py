@@ -36,13 +36,19 @@ def sigma_powers(n: int) -> np.ndarray:
 
 
 def fourier_star_dense(n: int) -> np.ndarray:
-    """The n x n matrix with entries omega**(j*k) / sqrt(n)."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    """The n x n matrix with entries omega**(j*k) / sqrt(n).
+
+    Entry (j, k) is gathered from ``omega_powers(n)`` at ``j*k mod n``: n
+    exps instead of n**2, and the same bits, since each power is already
+    taken from its exact reduced angle.
+    """
+    powers = omega_powers(n)
     j = np.arange(n)
-    # reduce j*k mod n before taking the angle: keeps every argument in [0, 2*pi)
-    exponents = np.outer(j, j) % n
-    return np.exp(2j * np.pi * exponents / n) / np.sqrt(n)
+    exponents = np.outer(j, j)
+    exponents %= n
+    out = powers[exponents]
+    out /= np.sqrt(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,12 @@ def h_apply(x, inverse: bool = False) -> np.ndarray:
     it acts along the last axis.
     """
     x = np.asarray(x, dtype=np.complex128)
-    twist = sigma_powers(x.shape[-1])
+    return _twisted_apply(x, sigma_powers(x.shape[-1]), inverse)
+
+
+def _twisted_apply(x: np.ndarray, twist: np.ndarray, inverse: bool) -> np.ndarray:
+    # H or H* with the caller's twist sigma_powers(n), so that one product
+    # through H and H* takes its n exps once
     if inverse:
         return twist * np.fft.ifft(x, norm="ortho")
     return np.fft.fft(twist.conj() * x, norm="ortho")

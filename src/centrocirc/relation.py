@@ -34,14 +34,14 @@ from .dense import (
 from .circulant import (
     Circulant,
     SkewCirculant,
+    _circ_product,
+    _scirc_product,
     circ_dense,
-    circ_matvec,
     circ_spectrum,
     scirc_dense,
-    scirc_matvec,
     scirc_spectrum,
 )
-from .centro import even_odd_split
+from .centro import _split_parity
 
 
 class ComplexEntriesError(ValueError):
@@ -119,14 +119,19 @@ def eta_minus_etat_coeffs(n: int) -> SkewCirculant:
 def r_apply_via_relation(r: SpecialTridiag, x) -> np.ndarray:
     """Apply R_n through its even/odd restrictions: the circulant part acts
     on the even component, the skew-circulant part on the odd component.
-    x may be an ``(..., n)`` stack, transformed along the last axis."""
+    x may be an ``(..., n)`` stack, transformed along the last axis.
+
+    x is checked once, here.  The split by index reversal and the two
+    products reuse the unchecked kernels behind ``even_odd_split``,
+    ``circ_matvec`` and ``scirc_matvec``, so the call takes one twist
+    ``sigma_powers(n)``."""
     x = as_vector(x, stacked=True)
     n = r.n
     if x.shape[-1] != n:
         raise ValueError(f"length mismatch: {n} vs {x.shape[-1]}")
-    split = even_odd_split(x)
-    even_part = circ_matvec(pi_minus_pit_coeffs(n), split.even)
-    odd_part = scirc_matvec(eta_minus_etat_coeffs(n), split.odd)
+    split = _split_parity(x)
+    even_part = _circ_product(pi_minus_pit_coeffs(n), split.even)
+    odd_part = _scirc_product(eta_minus_etat_coeffs(n), split.odd)
     return even_part + odd_part
 
 

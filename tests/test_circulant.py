@@ -1,5 +1,7 @@
 """Circulant and skew-circulant storage, spectra, fast products, algebra."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,31 @@ def test_scirc_dense_matches_branch_oracle():
         np.testing.assert_array_equal(
             scirc_dense(SkewCirculant(a)), branch_skew_circulant(a)
         )
+
+
+def _rows_for_dense_builders(n):
+    rng = np.random.default_rng(100 + n)
+    complex_row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    signed_zeros = np.where(np.arange(n) % 2 == 0, -0.0, 0.0)
+    mixed = complex_row.copy()
+    mixed[::3] = complex(-0.0, -0.0)
+    mixed[1::3] = 0.0
+    return complex_row, np.zeros(n), signed_zeros + 0j * signed_zeros, mixed
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_dense_builders_match_index_formulas(n):
+    i, j = np.indices((n, n))
+    for row in _rows_for_dense_builders(n):
+        c = Circulant(row)
+        assert np.array_equal(circ_dense(c), c.coeffs[(j - i) % n])
+        s = SkewCirculant(row)
+        expected = np.where(j < i, -1, 1) * s.coeffs[(j - i) % n] + 0.0
+        dense = scirc_dense(s)
+        assert np.array_equal(dense, expected)
+        # the sign flip must not leave negative zeros behind
+        assert not np.any(np.signbit(dense.real) & (dense.real == 0))
+        assert not np.any(np.signbit(dense.imag) & (dense.imag == 0))
 
 
 def test_transposes_match_dense_transpose():
@@ -304,3 +331,45 @@ def test_generator_power_identities_small():
         for _ in range(n - 1):
             eta_pow = scirc_mul(eta_pow, basic_skew_circulant(n))
         np.testing.assert_array_equal(eta_pow.coeffs, -identity)
+
+
+def _count_calls(monkeypatch, home, name, record):
+    """Wrap the function ``name`` of module ``home`` in every centrocirc
+    module that binds it; ``record`` gets the positional arguments of each
+    call."""
+    original = getattr(sys.modules[home], name)
+
+    def counting(*args, **kwargs):
+        record(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "centrocirc" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_one_twist_per_skew_circulant_product(monkeypatch, n):
+    import centrocirc
+
+    calls = []
+    _count_calls(monkeypatch, "centrocirc.fourier", "sigma_powers", calls.append)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    centrocirc.scirc_matvec(SkewCirculant(rng.standard_normal(n)), x)
+    assert len(calls) == 1
+    centrocirc.r_apply_via_relation(centrocirc.SpecialTridiag(n), x)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_r_apply_via_relation_checks_its_input_once(monkeypatch, n):
+    import centrocirc
+
+    # a (2, n) stack tells the input's scans apart from the coefficient rows'
+    x = np.random.default_rng(n).standard_normal((2, n)) + 0j
+    shapes = []
+    _count_calls(monkeypatch, "centrocirc.dense", "as_vector",
+                 lambda args: shapes.append(np.shape(args[0])))
+    centrocirc.r_apply_via_relation(centrocirc.SpecialTridiag(n), x)
+    assert shapes.count(x.shape) == 1

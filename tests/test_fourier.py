@@ -137,3 +137,11 @@ def test_sizes_below_one_rejected():
         sigma_powers(0)
     with pytest.raises(ValueError):
         fourier_star_dense(0)
+
+
+@pytest.mark.parametrize("n", list(range(1, 71)) + [97, 1024])
+def test_fourier_star_dense_gather_is_bitwise_the_exp_formula(n):
+    # the gather from omega_powers(n) must give exactly the n**2 exps
+    j = np.arange(n)
+    expected = np.exp(2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
+    assert np.array_equal(fourier_star_dense(n), expected)
