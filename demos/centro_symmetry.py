@@ -15,7 +15,6 @@ from centrocirc import (
     centro_split,
     circ_eigenpairs,
     circ_dense,
-    even_odd_basis,
     is_centro_skew,
     is_centro_symmetric,
     pi_minus_pit_coeffs,
@@ -36,13 +35,12 @@ def main():
     print(f"centro-skew part: sym? {is_centro_symmetric(parts.sym)}"
           f"   skew? {is_centro_skew(parts.skew)}")
 
-    basis = even_odd_basis(n)
-    b11, b12, b21, b22 = block_form(parts.sym, basis)
+    b11, b12, b21, b22 = block_form(parts.sym)
     print("\nBlock form of the symmetric part (off-diagonal blocks vanish):")
     print(f"  ||B11|| = {np.linalg.norm(b11):.3f}   ||B12|| = {np.linalg.norm(b12):.1e}")
     print(f"  ||B21|| = {np.linalg.norm(b21):.1e}   ||B22|| = {np.linalg.norm(b22):.3f}")
 
-    k11, k12, k21, k22 = block_form(parts.skew, basis)
+    k11, k12, k21, k22 = block_form(parts.skew)
     print("Block form of the skew part (diagonal blocks vanish):")
     print(f"  ||K11|| = {np.linalg.norm(k11):.1e}   ||K12|| = {np.linalg.norm(k12):.3f}")
     print(f"  ||K21|| = {np.linalg.norm(k21):.3f}   ||K22|| = {np.linalg.norm(k22):.1e}")

@@ -16,6 +16,7 @@ import numpy as np
 from .dense import (
     DEFAULT_TOL,
     Tolerance,
+    _require_size,
     _require_square,
     as_matrix,
     as_vector,
@@ -35,9 +36,7 @@ class NotCentroSkewError(ValueError):
 
 def exchange_dense(n: int) -> np.ndarray:
     """Ones on the counter-diagonal, zeros elsewhere."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    return np.eye(n, dtype=np.complex128)[::-1]
+    return np.eye(_require_size(n, 1), dtype=np.complex128)[::-1]
 
 
 _ROOT_HALF = 1.0 / np.sqrt(2.0)
@@ -113,16 +112,11 @@ class EvenOddBasis:
     p_cols: np.ndarray
     q_cols: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.p_cols.shape[0]
-
 
 def even_odd_basis(n: int) -> EvenOddBasis:
     """Paired columns (e_k +/- e_{n+1-k})/sqrt(2), k ascending; for odd n the
     middle coordinate vector closes the even basis."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    n = _require_size(n, 1)
     half = n // 2
     r = n - half
     p = np.zeros((n, r), dtype=np.complex128)
@@ -169,16 +163,13 @@ def _blocks(x: np.ndarray):
     return _fold(rows_even) + _fold(rows_odd)
 
 
-def block_form(x, basis: EvenOddBasis):
+def block_form(x):
     """The four blocks of X in the even/odd basis: (P*XP, P*XQ, Q*XP, Q*XQ).
 
     X may also be an ``(..., n, n)`` stack; the blocks are then stacks too.
-    The basis fixes n; the blocks come from the O(n^2) fold, not from P, Q.
+    The blocks come from the O(n^2) fold, not from P and Q.
     """
-    x = as_matrix(x, stacked=True)
-    if x.shape[-2:] != (basis.n, basis.n):
-        raise ValueError(f"shape mismatch: {x.shape} vs basis size {basis.n}")
-    return _blocks(x)
+    return _blocks(_require_square(as_matrix(x, stacked=True)))
 
 
 def solve_centro_symmetric(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

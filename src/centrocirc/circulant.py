@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_vector
+from .dense import _require_length, _require_size, as_vector
 from .fourier import (
     _twisted_apply,
     dft_apply,
@@ -32,31 +32,24 @@ from .fourier import (
 
 
 @dataclass(frozen=True)
-class Circulant:
+class _FirstRow:
+    # the first row both compact types share: a checked nonempty vector
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", as_vector(self.coeffs))
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[0]
+
+
+class Circulant(_FirstRow):
     """First row of a circulant matrix."""
 
-    coeffs: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", as_vector(self.coeffs))
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-
-@dataclass(frozen=True)
-class SkewCirculant:
+class SkewCirculant(_FirstRow):
     """First row of a skew-circulant matrix."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", as_vector(self.coeffs))
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -65,22 +58,21 @@ class EigenPair:
     vector: np.ndarray
 
 
+def _unit_shift_row(n: int) -> np.ndarray:
+    # the first row (0, 1, 0, ..., 0) of both basic generators
+    coeffs = np.zeros(_require_size(n, 2), dtype=np.complex128)
+    coeffs[1] = 1.0
+    return coeffs
+
+
 def basic_circulant(n: int) -> Circulant:
     """The single right-shift generator: first row (0, 1, 0, ..., 0)."""
-    if n < 2:
-        raise ValueError("the basic circulant needs n >= 2")
-    coeffs = np.zeros(n, dtype=np.complex128)
-    coeffs[1] = 1.0
-    return Circulant(coeffs)
+    return Circulant(_unit_shift_row(n))
 
 
 def basic_skew_circulant(n: int) -> SkewCirculant:
     """The signed shift generator: first row (0, 1, 0, ..., 0)."""
-    if n < 2:
-        raise ValueError("the basic skew-circulant needs n >= 2")
-    coeffs = np.zeros(n, dtype=np.complex128)
-    coeffs[1] = 1.0
-    return SkewCirculant(coeffs)
+    return SkewCirculant(_unit_shift_row(n))
 
 
 def _shifted_rows(doubled: np.ndarray) -> np.ndarray:
@@ -162,10 +154,7 @@ def circ_matvec(c: Circulant, x) -> np.ndarray:
 
     x may be an ``(..., n)`` stack; each vector along the last axis is
     multiplied."""
-    x = as_vector(x, stacked=True)
-    if x.shape[-1] != c.n:
-        raise ValueError(f"length mismatch: {c.n} vs {x.shape[-1]}")
-    return _circ_product(c, x)
+    return _circ_product(c, _require_length(x, c.n))
 
 
 def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
@@ -174,10 +163,7 @@ def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
     x may be an ``(..., n)`` stack, as for ``circ_matvec``.  The twist
     ``sigma_powers(n)`` is computed once per call and shared by the spectrum,
     the forward H and the inverse H*."""
-    x = as_vector(x, stacked=True)
-    if x.shape[-1] != s.n:
-        raise ValueError(f"length mismatch: {s.n} vs {x.shape[-1]}")
-    return _scirc_product(s, x)
+    return _scirc_product(s, _require_length(x, s.n))
 
 
 def circ_eigenpairs(c: Circulant) -> list[EigenPair]:
@@ -196,6 +182,8 @@ def scirc_eigenpairs(s: SkewCirculant) -> list[EigenPair]:
 
 def _folded_product(a: np.ndarray, b: np.ndarray, fold_sign: float) -> np.ndarray:
     # full polynomial product, then x**n -> fold_sign reduction
+    if a.shape != b.shape:
+        raise ValueError(f"size mismatch: {a.shape[0]} vs {b.shape[0]}")
     prod = np.convolve(a, b)
     out = prod[: a.shape[0]].copy()
     if prod.shape[0] > a.shape[0]:
@@ -205,13 +193,9 @@ def _folded_product(a: np.ndarray, b: np.ndarray, fold_sign: float) -> np.ndarra
 
 def circ_mul(a: Circulant, b: Circulant) -> Circulant:
     """Coefficient-domain product (cyclic convolution); exact over integers."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     return Circulant(_folded_product(a.coeffs, b.coeffs, 1.0))
 
 
 def scirc_mul(a: SkewCirculant, b: SkewCirculant) -> SkewCirculant:
     """Coefficient-domain product (negacyclic convolution); exact over integers."""
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     return SkewCirculant(_folded_product(a.coeffs, b.coeffs, -1.0))

@@ -119,10 +119,10 @@ def _parse_scalar(token: str) -> complex:
 
 
 def _parse_coeffs(text: str) -> np.ndarray:
-    tokens = [t for t in text.split(",") if t.strip()]
-    if not tokens:
+    # every token counts: an empty one ("1,,2" or a trailing comma) is an error
+    if not text.strip():
         raise UsageError("empty coefficient list")
-    coeffs = np.array([_parse_scalar(t) for t in tokens], dtype=np.complex128)
+    coeffs = np.array([_parse_scalar(t) for t in text.split(",")], dtype=np.complex128)
     if not np.all(np.isfinite(coeffs)):
         raise UsageError(f"coefficients must be finite, got {text!r}")
     return coeffs

@@ -11,6 +11,7 @@ convention); arrays are 0-based, so entry (i, j) of a formula lives at
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -75,6 +76,23 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_size(n, least: int) -> int:
+    # the one size check: an integer (numpy integers too) of at least `least`;
+    # operator.index raises TypeError for 2.5 and other non-integral sizes
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(f"size must be >= {least}")
+    return n
+
+
+def _require_length(x, n: int) -> np.ndarray:
+    # the one length check: x as a checked (..., n) stack of vectors
+    x = as_vector(x, stacked=True)
+    if x.shape[-1] != n:
+        raise ValueError(f"length mismatch: {n} vs {x.shape[-1]}")
+    return x
+
+
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
@@ -88,12 +106,15 @@ def matrix_power(a, k: int) -> np.ndarray:
     return np.linalg.matrix_power(a, k)
 
 
+def _unitary_defect(u: np.ndarray) -> float:
+    # ||U U* - I||_F for an already checked square matrix
+    return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
+
+
 def is_unitary(u, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when ||U U* - I||_F <= abs_eps + rel_eps * n."""
     u = _require_square(as_matrix(u))
-    n = u.shape[0]
-    defect = np.linalg.norm(u @ u.conj().T - np.eye(n))
-    return bool(defect <= tol.abs_eps + tol.rel_eps * n)
+    return _unitary_defect(u) <= tol.abs_eps + tol.rel_eps * u.shape[0]
 
 
 def solve_dense(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

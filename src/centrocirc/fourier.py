@@ -20,18 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dense import _require_size
+
 
 def omega_powers(n: int) -> np.ndarray:
     """[omega**0, ..., omega**(n-1)], each from its exact angle."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    n = _require_size(n, 1)
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def sigma_powers(n: int) -> np.ndarray:
     """[sigma**0, ..., sigma**(n-1)], each from its exact angle."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    n = _require_size(n, 1)
     return np.exp(1j * np.pi * np.arange(n) / n)
 
 
@@ -62,7 +62,6 @@ class FourierPack:
 
 def make_fourier_pack(n: int) -> FourierPack:
     """F* and the one definition of H* = Diag(sigma**j) @ F*."""
-    n = int(n)
     f_star = fourier_star_dense(n)
     return FourierPack(n=n, f_star=f_star, h_star=sigma_powers(n)[:, None] * f_star)
 

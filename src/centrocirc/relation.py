@@ -26,9 +26,10 @@ import numpy as np
 from .dense import (
     DEFAULT_TOL,
     Tolerance,
+    _require_length,
+    _require_size,
     _require_square,
     as_matrix,
-    as_vector,
     matrix_power,
 )
 from .circulant import (
@@ -36,6 +37,7 @@ from .circulant import (
     SkewCirculant,
     _circ_product,
     _scirc_product,
+    _unit_shift_row,
     circ_dense,
     circ_spectrum,
     scirc_dense,
@@ -55,8 +57,7 @@ class SpecialTridiag:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("size must be >= 2")
+        _require_size(self.n, 2)
 
 
 def r_dense(r: SpecialTridiag) -> np.ndarray:
@@ -73,8 +74,7 @@ def r_dense(r: SpecialTridiag) -> np.ndarray:
 def lower_shift_dense(n: int) -> np.ndarray:
     """Ones on the subdiagonal only; the building block of the identities
     R = Z^T - Z - e1 e1^T + en en^T and its circulant analogues."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
+    n = _require_size(n, 1)
     out = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n - 1)
     out[idx + 1, idx] = 1.0
@@ -85,10 +85,7 @@ def r_apply(r: SpecialTridiag, x) -> np.ndarray:
     """O(n) stencil: y_i = x_{i+1} - x_{i-1}, with the missing neighbours at
     the two ends replaced by the boundary value itself.  x may be an
     ``(..., n)`` stack; the stencil runs along the last axis."""
-    x = as_vector(x, stacked=True)
-    n = r.n
-    if x.shape[-1] != n:
-        raise ValueError(f"length mismatch: {n} vs {x.shape[-1]}")
+    x = _require_length(x, r.n)
     y = np.empty(x.shape, dtype=np.complex128)
     y[..., 0] = x[..., 1] - x[..., 0]
     y[..., 1:-1] = x[..., 2:] - x[..., :-2]
@@ -98,21 +95,15 @@ def r_apply(r: SpecialTridiag, x) -> np.ndarray:
 
 def pi_minus_pit_coeffs(n: int) -> Circulant:
     """pi - pi^T as a circulant: first row (0, 1, 0, ..., 0, -1)."""
-    if n < 2:
-        raise ValueError("size must be >= 2")
-    coeffs = np.zeros(n, dtype=np.complex128)
-    coeffs[1] += 1.0
-    coeffs[n - 1] -= 1.0
+    coeffs = _unit_shift_row(n)
+    coeffs[-1] -= 1.0
     return Circulant(coeffs)
 
 
 def eta_minus_etat_coeffs(n: int) -> SkewCirculant:
     """eta - eta^T as a skew-circulant: first row (0, 1, 0, ..., 0, 1)."""
-    if n < 2:
-        raise ValueError("size must be >= 2")
-    coeffs = np.zeros(n, dtype=np.complex128)
-    coeffs[1] += 1.0
-    coeffs[n - 1] += 1.0
+    coeffs = _unit_shift_row(n)
+    coeffs[-1] += 1.0
     return SkewCirculant(coeffs)
 
 
@@ -125,21 +116,15 @@ def r_apply_via_relation(r: SpecialTridiag, x) -> np.ndarray:
     products reuse the unchecked kernels behind ``even_odd_split``,
     ``circ_matvec`` and ``scirc_matvec``, so the call takes one twist
     ``sigma_powers(n)``."""
-    x = as_vector(x, stacked=True)
-    n = r.n
-    if x.shape[-1] != n:
-        raise ValueError(f"length mismatch: {n} vs {x.shape[-1]}")
-    split = _split_parity(x)
-    even_part = _circ_product(pi_minus_pit_coeffs(n), split.even)
-    odd_part = _scirc_product(eta_minus_etat_coeffs(n), split.odd)
+    split = _split_parity(_require_length(x, r.n))
+    even_part = _circ_product(pi_minus_pit_coeffs(r.n), split.even)
+    odd_part = _scirc_product(eta_minus_etat_coeffs(r.n), split.odd)
     return even_part + odd_part
 
 
 def rank_one_defects(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The two defects (D_plus, D_minus) of the decomposition, checked
     against their closed rank-one forms entry for entry."""
-    if n < 2:
-        raise ValueError("size must be >= 2")
     r = r_dense(SpecialTridiag(n))
     d_plus = r - circ_dense(pi_minus_pit_coeffs(n))
     d_minus = r - scirc_dense(eta_minus_etat_coeffs(n))
@@ -152,6 +137,18 @@ def rank_one_defects(n: int) -> tuple[np.ndarray, np.ndarray]:
     if not np.array_equal(d_minus, np.outer(e_last - e_first, e_last + e_first)):
         raise AssertionError("odd-defect construction is broken")
     return d_plus, d_minus
+
+
+def _apply_defects(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (D_plus @ even, D_minus @ odd) along the last axis, from the rank-one
+    # forms D_plus y = (e_n + e_1)(y_n - y_1), D_minus y = (e_n - e_1)(y_n + y_1):
+    # O(n) per vector, no dense defect
+    d_plus_even = np.zeros_like(even)
+    d_plus_even[..., 0] = d_plus_even[..., -1] = even[..., -1] - even[..., 0]
+    d_minus_odd = np.zeros_like(odd)
+    d_minus_odd[..., -1] = odd[..., -1] + odd[..., 0]
+    d_minus_odd[..., 0] = -d_minus_odd[..., -1]
+    return d_plus_even, d_minus_odd
 
 
 def restriction_spectra(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +192,7 @@ def has_sign_pattern(a, pattern: SignPattern, tol: Tolerance = DEFAULT_TOL) -> b
 
 def nilpotent_scaling(n: int) -> np.ndarray:
     """The positive diagonal f with f_k = 1 / (2 sin((2k-1) pi / (2n)))."""
-    if n < 2:
-        raise ValueError("size must be >= 2")
+    n = _require_size(n, 2)
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
     return 1.0 / (2.0 * np.sin(theta))
 
@@ -206,6 +202,13 @@ def nilpotent_realization(n: int) -> np.ndarray:
     return nilpotent_scaling(n)[:, None] * r_dense(SpecialTridiag(n))
 
 
+def _nilpotency_residual(a: np.ndarray, tol_nilp: float) -> tuple[float, float]:
+    # (||A^n||_F, tol_nilp * max(1, ||A||_F)**n) for an already checked square A
+    n = a.shape[0]
+    bound = tol_nilp * max(1.0, float(np.linalg.norm(a))) ** n
+    return float(np.linalg.norm(matrix_power(a, n))), bound
+
+
 def verify_nilpotent(a, tol_nilp: float = 1e-8) -> bool:
     """Numerical nilpotency check by powering.
 
@@ -213,8 +216,5 @@ def verify_nilpotent(a, tol_nilp: float = 1e-8) -> bool:
     relative to ||A||**n because powering amplifies round-off by roughly
     that factor.
     """
-    a = _require_square(as_matrix(a))
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    power_norm = float(np.linalg.norm(matrix_power(a, n)))
-    return bool(power_norm <= tol_nilp * max(1.0, norm) ** n)
+    power_norm, bound = _nilpotency_residual(_require_square(as_matrix(a)), tol_nilp)
+    return power_norm <= bound

@@ -13,23 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import SingularMatrixError, solve_dense
+from .dense import SingularMatrixError, _unitary_defect, solve_dense
 from .fourier import make_fourier_pack
 from .centro import (
     block_form,
     centro_split,
-    even_odd_basis,
     even_odd_split,
     solve_centro_symmetric,
 )
 from .relation import (
     SpecialTridiag,
+    _apply_defects,
+    _nilpotency_residual,
     has_sign_pattern,
     nilpotent_realization,
     r_apply,
     r_apply_via_relation,
     r_dense,
-    rank_one_defects,
     sign_pattern_of,
 )
 
@@ -94,20 +94,21 @@ def relation_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
                    tol: float = 1e-10, samples: int = RELATION_SAMPLES) -> list[Metric]:
     """R_n applied directly vs through its even/odd circulant restrictions.
 
-    Each n is one stacked computation over the two ramps and the samples.
+    Each n is one stacked computation over the two ramps and the samples;
+    the defects are applied in their rank-one form.
     """
     worst_relation = 0.0
     worst_defect = 0.0
     for n in range(n_lo, n_hi + 1):
         r = SpecialTridiag(n)
-        d_plus, d_minus = rank_one_defects(n)
         x = np.vstack([ramp_even(n), ramp_odd(n),
                        _complex_rows(rng.standard_normal((samples, 2 * n)), n)])
         scale = n * np.maximum(_norms(x), 1e-300)
         diff = _norms(r_apply(r, x) - r_apply_via_relation(r, x))
         worst_relation = max(worst_relation, float(np.max(diff / scale)))
         split = even_odd_split(x)
-        defect = _norms(split.even @ d_plus.T) + _norms(split.odd @ d_minus.T)
+        d_plus_even, d_minus_odd = _apply_defects(split.even, split.odd)
+        defect = _norms(d_plus_even) + _norms(d_minus_odd)
         worst_defect = max(worst_defect, float(np.max(defect / scale)))
     return [
         Metric("max_relation_residual_over_n_normx", worst_relation, tol),
@@ -121,8 +122,7 @@ def nilpotent_suite(n_lo: int, n_hi: int, tol_nilp: float = 1e-8) -> list[Metric
     mismatches = 0
     for n in range(n_lo, n_hi + 1):
         scaled = nilpotent_realization(n)
-        bound = tol_nilp * max(1.0, float(np.linalg.norm(scaled))) ** n
-        power_norm = float(np.linalg.norm(np.linalg.matrix_power(scaled, n)))
+        power_norm, bound = _nilpotency_residual(scaled, tol_nilp)
         metrics.append(Metric(f"nilpotent_power_norm_n{n}", power_norm, bound))
         pattern = sign_pattern_of(r_dense(SpecialTridiag(n)))
         if not has_sign_pattern(scaled, pattern):
@@ -155,7 +155,6 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
     worst_decomp = 0.0
     worst_solve = 0.0
     for n in range(n_lo, n_hi + 1):
-        basis = even_odd_basis(n)
         for k in _chunks(samples, n):
             draws = rng.standard_normal((k, 2 * n + 4 * n * n))
             x = _complex_rows(draws, n)
@@ -198,9 +197,9 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             worst_parity = max(worst_parity, float(np.max(parity)))
 
             # centro-symmetric: off-diagonal blocks vanish; centro-skew: diagonal
-            _, b12, b21, _ = block_form(parts.sym, basis)
+            _, b12, b21, _ = block_form(parts.sym)
             blocks = _fro_norms(b12) + _fro_norms(b21)
-            k11, _, _, k22 = block_form(parts.skew, basis)
+            k11, _, _, k22 = block_form(parts.skew)
             blocks += _fro_norms(k11) + _fro_norms(k22)
             worst_blocks = max(worst_blocks, float(np.max(blocks / parts_norm)))
 
@@ -247,8 +246,7 @@ def unitary_suite(n_lo: int, n_hi: int, tol: float = 1e-11) -> list[Metric]:
     for n in range(n_lo, n_hi + 1):
         pack = make_fourier_pack(n)
         for u in (pack.f_star, pack.h_star):
-            defect = float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
-            worst = max(worst, defect / n)
+            worst = max(worst, _unitary_defect(u) / n)
     return [Metric("max_unitary_defect_over_n", worst, tol)]
 
 

@@ -135,7 +135,7 @@ def test_block_form_of_centro_symmetric_is_block_diagonal():
     for n in (4, 5, 9):
         basis = even_odd_basis(n)
         sym = centro_split(complex_normal(rng, (n, n))).sym
-        b11, b12, b21, b22 = block_form(sym, basis)
+        b11, b12, b21, b22 = block_form(sym)
         assert np.linalg.norm(b12) <= 1e-12
         assert np.linalg.norm(b21) <= 1e-12
         # the blocks reassemble the matrix
@@ -147,19 +147,18 @@ def test_block_form_of_centro_symmetric_is_block_diagonal():
 def test_block_form_of_centro_skew_is_block_antidiagonal():
     rng = np.random.default_rng(78)
     for n in (4, 7):
-        basis = even_odd_basis(n)
         skew = centro_split(complex_normal(rng, (n, n))).skew
-        k11, k12, k21, k22 = block_form(skew, basis)
+        k11, k12, k21, k22 = block_form(skew)
         assert np.linalg.norm(k11) <= 1e-12
         assert np.linalg.norm(k22) <= 1e-12
         assert np.linalg.norm(k12) > 0.1  # generic draw keeps the couplings
 
 
-def test_block_form_shape_check():
-    with pytest.raises(ValueError):
-        block_form(np.eye(4), even_odd_basis(5))
-    with pytest.raises(ValueError):
-        block_form(np.ones((3, 4, 4)), even_odd_basis(5))
+def test_block_form_requires_square():
+    with pytest.raises(ValueError, match="square"):
+        block_form(np.ones((4, 5)))
+    with pytest.raises(ValueError, match="square"):
+        block_form(np.ones((3, 4, 5)))
 
 
 def dense_blocks(x, basis):
@@ -176,7 +175,7 @@ def test_block_form_matches_dense_basis_on_generic_input(shape):
     rng = np.random.default_rng(sum(shape))
     basis = even_odd_basis(shape[-1])
     x = complex_normal(rng, shape)
-    for block, oracle in zip(block_form(x, basis), dense_blocks(x, basis)):
+    for block, oracle in zip(block_form(x), dense_blocks(x, basis)):
         assert block.shape == oracle.shape
         np.testing.assert_allclose(block, oracle, rtol=0, atol=1e-13)
 
@@ -241,7 +240,7 @@ def test_reflect_eigenpair_rejects_bad_inputs():
 STACKED_CENTRO_KERNELS = {
     "even_odd_split": (lambda x: astuple(even_odd_split(x)), 1),
     "centro_split": (lambda x: astuple(centro_split(x)), 2),
-    "block_form": (lambda x: block_form(x, even_odd_basis(x.shape[-1])), 2),
+    "block_form": (block_form, 2),
 }
 
 

@@ -102,6 +102,13 @@ def test_format_complex():
         ("show", "r", "1025"),
         ("show", "r", "five"),
         ("spectrum", "circ", ",,"),
+        # an empty token anywhere is an error, not a skipped coefficient
+        ("spectrum", "circ", "1,,2,"),
+        ("spectrum", "circ", "1,,2"),
+        ("spectrum", "scirc", "1,2,"),
+        ("spectrum", "circ", ",1"),
+        ("spectrum", "scirc", "1, ,2"),
+        ("spectrum", "circ", ""),
         ("spectrum", "circ", "1,bad"),
         ("spectrum", "r-even", "0"),
         ("verify", "all", "5..2"),

@@ -6,10 +6,26 @@ import pytest
 from centrocirc import (
     DEFAULT_TOL,
     SingularMatrixError,
+    SpecialTridiag,
     Tolerance,
+    basic_circulant,
+    basic_skew_circulant,
+    eta_minus_etat_coeffs,
+    even_odd_basis,
+    exchange_dense,
+    fourier_star_dense,
     frobenius_norm,
     is_unitary,
+    lower_shift_dense,
+    make_fourier_pack,
     matrix_power,
+    nilpotent_realization,
+    nilpotent_scaling,
+    omega_powers,
+    pi_minus_pit_coeffs,
+    rank_one_defects,
+    restriction_spectra,
+    sigma_powers,
     solve_dense,
 )
 from centrocirc.dense import as_matrix, as_vector
@@ -105,3 +121,36 @@ def test_solve_dense_pivot_floor_scales_with_matrix():
 def test_solve_dense_shape_mismatch():
     with pytest.raises(ValueError):
         solve_dense(np.eye(3), np.ones(4))
+
+
+# every public function that takes a size, with the least size it accepts
+SIZE_FUNCTIONS = {
+    exchange_dense: 1,
+    even_odd_basis: 1,
+    omega_powers: 1,
+    sigma_powers: 1,
+    fourier_star_dense: 1,
+    make_fourier_pack: 1,
+    lower_shift_dense: 1,
+    SpecialTridiag: 2,
+    pi_minus_pit_coeffs: 2,
+    eta_minus_etat_coeffs: 2,
+    rank_one_defects: 2,
+    nilpotent_scaling: 2,
+    nilpotent_realization: 2,
+    restriction_spectra: 2,
+    basic_circulant: 2,
+    basic_skew_circulant: 2,
+}
+
+
+@pytest.mark.parametrize("func", SIZE_FUNCTIONS, ids=lambda func: func.__name__)
+def test_sizes_must_be_integers(func):
+    least = SIZE_FUNCTIONS[func]
+    for size in (2.5, 4.0, np.float64(3.0), "4"):
+        with pytest.raises(TypeError):
+            func(size)
+    with pytest.raises(ValueError, match=f"size must be >= {least}"):
+        func(least - 1)
+    # numpy integers are sizes too
+    func(np.int64(least + 2))

@@ -26,6 +26,7 @@ from centrocirc import (
     sign_pattern_of,
     verify_nilpotent,
 )
+from centrocirc.relation import _apply_defects
 
 R5 = np.array(
     [
@@ -183,6 +184,20 @@ def test_defects_annihilate_parity_parts_exactly():
         split = even_odd_split(2 * x)  # doubling keeps the halves integral
         np.testing.assert_array_equal(d_plus @ split.even, np.zeros(n))
         np.testing.assert_array_equal(d_minus @ split.odd, np.zeros(n))
+
+
+def test_rank_one_application_matches_dense_defects_on_broken_splits():
+    # halves with no parity, so that neither defect annihilates its half
+    rng = np.random.default_rng(93)
+    for n in range(2, 65):
+        draws = rng.standard_normal((4, 5, n))
+        even, odd = draws[0] + 1j * draws[1], draws[2] + 1j * draws[3]
+        d_plus, d_minus = rank_one_defects(n)
+        applied = _apply_defects(even, odd)
+        for got, dense in zip(applied, (even @ d_plus.T, odd @ d_minus.T)):
+            np.testing.assert_allclose(got, dense, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(np.linalg.norm(got, axis=-1),
+                                       np.linalg.norm(dense, axis=-1), rtol=1e-15, atol=0)
 
 
 def test_restriction_spectra_frozen_4():
