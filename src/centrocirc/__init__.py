@@ -10,20 +10,11 @@ circulant types with analytic spectra, the even/odd projection calculus,
 and seeded verification suites (also reachable via the ``centrocirc`` CLI).
 """
 
-from .dense import (
-    DEFAULT_TOL,
-    SingularMatrixError,
-    Tolerance,
-    frobenius_norm,
-    is_unitary,
-    matrix_power,
-    solve_dense,
-)
+from .dense import SingularMatrixError, is_unitary, solve_dense
 from .fourier import (
     FourierPack,
     dft_apply,
     fourier_star_dense,
-    h_apply,
     make_fourier_pack,
     omega_powers,
     sigma_powers,
@@ -39,14 +30,12 @@ from .circulant import (
     circ_matvec,
     circ_mul,
     circ_spectrum,
-    circ_transpose,
     poly_eval,
     scirc_dense,
     scirc_eigenpairs,
     scirc_matvec,
     scirc_mul,
     scirc_spectrum,
-    scirc_transpose,
 )
 from .centro import (
     CentroSplit,
@@ -62,7 +51,6 @@ from .centro import (
     is_centro_skew,
     is_centro_symmetric,
     reflect_eigenpair,
-    reverse,
     solve_centro_symmetric,
 )
 from .relation import (

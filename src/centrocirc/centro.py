@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
-    DEFAULT_TOL,
-    Tolerance,
+    _ABS_EPS,
+    _REL_EPS,
     _require_size,
     _require_square,
     as_matrix,
     as_vector,
-    frobenius_norm,
     solve_dense,
 )
 from .circulant import EigenPair
@@ -42,11 +41,6 @@ def exchange_dense(n: int) -> np.ndarray:
 _ROOT_HALF = 1.0 / np.sqrt(2.0)
 
 
-def reverse(x) -> np.ndarray:
-    """The action of the exchange matrix on a vector, in O(n)."""
-    return as_vector(x)[::-1]
-
-
 def _flip_conjugate(x: np.ndarray) -> np.ndarray:
     # E X E reverses both the row and the column order
     return x[..., ::-1, ::-1]
@@ -54,7 +48,7 @@ def _flip_conjugate(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvenOddSplit:
-    """x = even + odd with reverse(even) = even and reverse(odd) = -odd."""
+    """x = even + odd with E even = even and E odd = -odd."""
 
     even: np.ndarray
     odd: np.ndarray
@@ -86,19 +80,19 @@ def centro_split(x) -> CentroSplit:
     return CentroSplit(sym=(x + fx) / 2, skew=(x - fx) / 2)
 
 
-def _entrywise_tol(x: np.ndarray, tol: Tolerance) -> float:
+def _entrywise_tol(x: np.ndarray) -> float:
     # scale-invariant classification threshold
-    return tol.abs_eps + tol.rel_eps * float(np.max(np.abs(x), initial=0.0))
+    return _ABS_EPS + _REL_EPS * float(np.max(np.abs(x), initial=0.0))
 
 
-def is_centro_symmetric(x, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_centro_symmetric(x) -> bool:
     x = _require_square(as_matrix(x))
-    return bool(np.max(np.abs(x - _flip_conjugate(x))) <= _entrywise_tol(x, tol))
+    return bool(np.max(np.abs(x - _flip_conjugate(x))) <= _entrywise_tol(x))
 
 
-def is_centro_skew(x, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_centro_skew(x) -> bool:
     x = _require_square(as_matrix(x))
-    return bool(np.max(np.abs(x + _flip_conjugate(x))) <= _entrywise_tol(x, tol))
+    return bool(np.max(np.abs(x + _flip_conjugate(x))) <= _entrywise_tol(x))
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,7 @@ def block_form(x):
     return _blocks(_require_square(as_matrix(x, stacked=True)))
 
 
-def solve_centro_symmetric(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def solve_centro_symmetric(a, w) -> np.ndarray:
     """Solve A z = w through the two half-size even/odd systems.
 
     A must be centro-symmetric to tolerance; then P*AP and Q*AQ carry the
@@ -181,30 +175,30 @@ def solve_centro_symmetric(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     a = as_matrix(a)
     w = as_vector(w)
-    if not is_centro_symmetric(a, tol):
+    if not is_centro_symmetric(a):
         raise NotCentroSymmetricError("matrix is not centro-symmetric to tolerance")
     if a.shape[0] != w.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {w.shape}")
     a11, _, _, a22 = _blocks(a)
     w1, w2 = _fold(w)
-    y1 = solve_dense(a11, w1, tol)
+    y1 = solve_dense(a11, w1)
     # n = 1 leaves no odd half to solve
-    y2 = solve_dense(a22, w2, tol) if w2.size else w2
+    y2 = solve_dense(a22, w2) if w2.size else w2
     return _unfold(y1, y2)
 
 
-def reflect_eigenpair(k, pair: EigenPair, tol: Tolerance = DEFAULT_TOL) -> EigenPair:
+def reflect_eigenpair(k, pair: EigenPair) -> EigenPair:
     """Map an eigenpair (lambda, z) of a centro-skew K to (-lambda, Ez).
 
     The input residual ||Kz - lambda z|| must already be within tolerance;
     the reflected pair then satisfies the same bound.
     """
     k = as_matrix(k)
-    if not is_centro_skew(k, tol):
+    if not is_centro_skew(k):
         raise NotCentroSkewError("matrix is not centro-skew to tolerance")
     z = as_vector(pair.vector)
     residual = float(np.linalg.norm(k @ z - pair.value * z))
-    bound = tol.abs_eps + tol.rel_eps * frobenius_norm(k) * float(np.linalg.norm(z))
+    bound = _ABS_EPS + _REL_EPS * float(np.linalg.norm(k)) * float(np.linalg.norm(z))
     if residual > bound:
         raise ValueError(
             f"input eigenpair residual {residual:.3e} exceeds tolerance {bound:.3e}"

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import _require_length, _require_size, as_vector
-from .fourier import (
-    _twisted_apply,
-    dft_apply,
-    fourier_star_dense,
-    make_fourier_pack,
-    sigma_powers,
-)
+from .fourier import _twisted_apply, fourier_star_dense, make_fourier_pack, sigma_powers
 
 
 @dataclass(frozen=True)
@@ -92,20 +86,6 @@ def scirc_dense(s: SkewCirculant) -> np.ndarray:
     return _shifted_rows(np.concatenate((-s.coeffs, s.coeffs)) + 0.0)
 
 
-def circ_transpose(c: Circulant) -> Circulant:
-    """Transpose stays circulant: first row becomes (c_1, c_n, ..., c_2)."""
-    out = c.coeffs.copy()
-    out[1:] = out[1:][::-1]
-    return Circulant(out)
-
-
-def scirc_transpose(s: SkewCirculant) -> SkewCirculant:
-    """First row becomes (a_1, -a_n, ..., -a_2)."""
-    out = s.coeffs.copy()
-    out[1:] = -out[1:][::-1]
-    return SkewCirculant(out)
-
-
 def poly_eval(a, t: complex) -> complex:
     """Horner evaluation of a_1 + a_2 t + ... + a_n t**(n-1).
 
@@ -137,8 +117,9 @@ def _twisted_spectrum(s: SkewCirculant, twist: np.ndarray) -> np.ndarray:
 
 
 def _circ_product(c: Circulant, x: np.ndarray) -> np.ndarray:
-    # Circ(c) @ x for an already checked (..., n) stack x
-    return dft_apply(circ_spectrum(c) * dft_apply(x), inverse=True)
+    # Circ(c) @ x for an already checked (..., n) stack x: F* Diag(spectrum) F
+    scaled = circ_spectrum(c) * np.fft.fft(x, norm="ortho")
+    return np.fft.ifft(scaled, norm="ortho")
 
 
 def _scirc_product(s: SkewCirculant, x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ Grammar::
                       [--seed N] [--format F] [--tol X]
 
 A coefficient list whose first entry is negative must follow ``--``, or it
-is read as an option.
+is read as an option.  A list holds at most 1024 coefficients, and sizes
+and ranges are written in the ASCII digits 0-9 only.
 
 Formats: ``pretty`` (default), ``json``, ``csv``.  JSON reports follow the
 schema ``{"command", "n", "status", "metrics": [{"name", "value", "bound"}],
@@ -122,7 +123,11 @@ def _parse_coeffs(text: str) -> np.ndarray:
     # every token counts: an empty one ("1,,2" or a trailing comma) is an error
     if not text.strip():
         raise UsageError("empty coefficient list")
-    coeffs = np.array([_parse_scalar(t) for t in text.split(",")], dtype=np.complex128)
+    tokens = text.split(",")
+    # n coefficients cost dense n x n matrices and an O(n^3) residual
+    if len(tokens) > SHOW_N_MAX:
+        raise UsageError(f"at most {SHOW_N_MAX} coefficients, got {len(tokens)}")
+    coeffs = np.array([_parse_scalar(t) for t in tokens], dtype=np.complex128)
     if not np.all(np.isfinite(coeffs)):
         raise UsageError(f"coefficients must be finite, got {text!r}")
     return coeffs
@@ -134,21 +139,29 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _parse_size(text: str, lo: int, hi: int) -> int:
+def _parse_digits(text: str, what: str) -> int:
+    # ASCII digits only: int() also takes "1_0", " 10" and other scripts'
+    # digits, and raises ValueError past 4300 digits
+    if not re.fullmatch(r"[0-9]+", text):
+        raise UsageError(f"{what} must be written in the digits 0-9, got {text!r}")
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
-        raise UsageError(f"size must be an integer, got {text!r}")
+        raise UsageError(f"{what} has {len(text)} digits, too many to read")
+
+
+def _parse_size(text: str, lo: int, hi: int) -> int:
+    n = _parse_digits(text, "size")
     if not lo <= n <= hi:
         raise UsageError(f"size {n} outside the supported range {lo}..{hi}")
     return n
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
+    match = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
     if not match:
         raise UsageError(f"range must look like 2..16, got {text!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
+    lo, hi = (_parse_digits(bound, "range bound") for bound in match.groups())
     if lo > hi:
         raise UsageError(f"empty range {text!r}")
     if lo < VERIFY_N_MIN or hi > VERIFY_N_MAX:

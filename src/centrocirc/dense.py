@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -23,21 +22,9 @@ class SingularMatrixError(ValueError):
     """Raised when a pivot is zero to tolerance during an LU solve."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance pair used by the verification predicates."""
-
-    abs_eps: float = 1e-10
-    rel_eps: float = 1e-10
-
-    def __post_init__(self):
-        if not (np.isfinite(self.abs_eps) and np.isfinite(self.rel_eps)):
-            raise ValueError("tolerances must be finite")
-        if self.abs_eps < 0 or self.rel_eps < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-
-DEFAULT_TOL = Tolerance()
+# absolute and relative tolerance of the predicates and the pivot floor
+_ABS_EPS = 1e-10
+_REL_EPS = 1e-10
 
 
 def _as_finite(x, ndim: int, stacked: bool, noun: str) -> np.ndarray:
@@ -93,35 +80,22 @@ def _require_length(x, n: int) -> np.ndarray:
     return x
 
 
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
-def matrix_power(a, k: int) -> np.ndarray:
-    """A**k by binary powering; A**0 is the identity."""
-    a = _require_square(as_matrix(a))
-    k = int(k)
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    return np.linalg.matrix_power(a, k)
-
-
 def _unitary_defect(u: np.ndarray) -> float:
     # ||U U* - I||_F for an already checked square matrix
     return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
 
 
-def is_unitary(u, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when ||U U* - I||_F <= abs_eps + rel_eps * n."""
+def is_unitary(u) -> bool:
+    """True when ||U U* - I||_F <= 1e-10 + 1e-10 * n."""
     u = _require_square(as_matrix(u))
-    return _unitary_defect(u) <= tol.abs_eps + tol.rel_eps * u.shape[0]
+    return _unitary_defect(u) <= _ABS_EPS + _REL_EPS * u.shape[0]
 
 
-def solve_dense(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def solve_dense(a, w) -> np.ndarray:
     """Solve A z = w by LU with partial pivoting.
 
     Raises SingularMatrixError when some pivot falls below
-    ``abs_eps * max(1, ||A||_F)``.
+    ``1e-10 * max(1, ||A||_F)``.
     """
     a = _require_square(as_matrix(a))
     w = as_vector(w)
@@ -131,7 +105,7 @@ def solve_dense(a, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         # singularity is reported through the pivot check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivot_floor = tol.abs_eps * max(1.0, float(np.linalg.norm(a)))
+    pivot_floor = _ABS_EPS * max(1.0, float(np.linalg.norm(a)))
     if np.min(np.abs(np.diag(lu))) <= pivot_floor:
         raise SingularMatrixError("matrix is singular to tolerance")
     return scipy.linalg.lu_solve((lu, piv), w, check_finite=False)

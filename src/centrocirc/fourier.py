@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import _require_size
+from .dense import _require_size, as_vector
 
 
 def omega_powers(n: int) -> np.ndarray:
@@ -73,26 +73,15 @@ def dft_apply(x, inverse: bool = False) -> np.ndarray:
     followed by an inverse is the identity to round-off.  Transforms along
     the last axis, so an ``(..., n)`` stack is transformed vector by vector.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = as_vector(x, stacked=True)
     if inverse:
         return np.fft.ifft(x, norm="ortho")
     return np.fft.fft(x, norm="ortho")
 
 
-def h_apply(x, inverse: bool = False) -> np.ndarray:
-    """Multiply by H (forward) or by its inverse = H* (``inverse=True``).
-
-    H* is Diag(sigma**j) composed with F*, so the forward map is the
-    conjugate twist followed by the forward transform.  Like ``dft_apply``,
-    it acts along the last axis.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    return _twisted_apply(x, sigma_powers(x.shape[-1]), inverse)
-
-
 def _twisted_apply(x: np.ndarray, twist: np.ndarray, inverse: bool) -> np.ndarray:
-    # H or H* with the caller's twist sigma_powers(n), so that one product
-    # through H and H* takes its n exps once
+    # H (forward) or H* (inverse) along the last axis, with the caller's twist
+    # sigma_powers(n), so that one product through H and H* takes its n exps once
     if inverse:
         return twist * np.fft.ifft(x, norm="ortho")
     return np.fft.fft(twist.conj() * x, norm="ortho")

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (
-    DEFAULT_TOL,
-    Tolerance,
-    _require_length,
-    _require_size,
-    _require_square,
-    as_matrix,
-    matrix_power,
-)
+from .dense import _ABS_EPS, _require_length, _require_size, _require_square, as_matrix
 from .circulant import (
     Circulant,
     SkewCirculant,
@@ -44,6 +36,10 @@ from .circulant import (
     scirc_spectrum,
 )
 from .centro import _split_parity
+
+
+# relative tolerance of the nilpotency check
+_NILPOTENT_TOL = 1e-8
 
 
 class ComplexEntriesError(ValueError):
@@ -175,19 +171,19 @@ class SignPattern:
         object.__setattr__(self, "entries", entries.real.astype(np.int64))
 
 
-def sign_pattern_of(a, tol: Tolerance = DEFAULT_TOL) -> SignPattern:
-    """Entrywise signum with dead zone |a_ij| <= abs_eps -> 0."""
+def sign_pattern_of(a) -> SignPattern:
+    """Entrywise signum with dead zone |a_ij| <= 1e-10 -> 0."""
     a = _require_square(as_matrix(a))
-    if np.max(np.abs(a.imag)) > tol.abs_eps:
+    if np.max(np.abs(a.imag)) > _ABS_EPS:
         raise ComplexEntriesError("matrix has entries with nonreal parts")
     real = a.real
     signs = np.sign(real).astype(np.int64)
-    signs[np.abs(real) <= tol.abs_eps] = 0
+    signs[np.abs(real) <= _ABS_EPS] = 0
     return SignPattern(signs)
 
 
-def has_sign_pattern(a, pattern: SignPattern, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return bool(np.array_equal(sign_pattern_of(a, tol).entries, pattern.entries))
+def has_sign_pattern(a, pattern: SignPattern) -> bool:
+    return bool(np.array_equal(sign_pattern_of(a).entries, pattern.entries))
 
 
 def nilpotent_scaling(n: int) -> np.ndarray:
@@ -202,19 +198,19 @@ def nilpotent_realization(n: int) -> np.ndarray:
     return nilpotent_scaling(n)[:, None] * r_dense(SpecialTridiag(n))
 
 
-def _nilpotency_residual(a: np.ndarray, tol_nilp: float) -> tuple[float, float]:
-    # (||A^n||_F, tol_nilp * max(1, ||A||_F)**n) for an already checked square A
+def _nilpotency_residual(a: np.ndarray) -> tuple[float, float]:
+    # (||A^n||_F, 1e-8 * max(1, ||A||_F)**n) for an already checked square A
     n = a.shape[0]
-    bound = tol_nilp * max(1.0, float(np.linalg.norm(a))) ** n
-    return float(np.linalg.norm(matrix_power(a, n))), bound
+    bound = _NILPOTENT_TOL * max(1.0, float(np.linalg.norm(a))) ** n
+    return float(np.linalg.norm(np.linalg.matrix_power(a, n))), bound
 
 
-def verify_nilpotent(a, tol_nilp: float = 1e-8) -> bool:
+def verify_nilpotent(a) -> bool:
     """Numerical nilpotency check by powering.
 
-    True when ||A^n||_F <= tol_nilp * max(1, ||A||_F)**n.  The bound is
+    True when ||A^n||_F <= 1e-8 * max(1, ||A||_F)**n.  The bound is
     relative to ||A||**n because powering amplifies round-off by roughly
     that factor.
     """
-    power_norm, bound = _nilpotency_residual(_require_square(as_matrix(a)), tol_nilp)
+    power_norm, bound = _nilpotency_residual(_require_square(as_matrix(a)))
     return power_norm <= bound

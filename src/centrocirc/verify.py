@@ -91,7 +91,7 @@ def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def relation_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
-                   tol: float = 1e-10, samples: int = RELATION_SAMPLES) -> list[Metric]:
+                   tol: float = 1e-10) -> list[Metric]:
     """R_n applied directly vs through its even/odd circulant restrictions.
 
     Each n is one stacked computation over the two ramps and the samples;
@@ -101,8 +101,8 @@ def relation_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
     worst_defect = 0.0
     for n in range(n_lo, n_hi + 1):
         r = SpecialTridiag(n)
-        x = np.vstack([ramp_even(n), ramp_odd(n),
-                       _complex_rows(rng.standard_normal((samples, 2 * n)), n)])
+        draws = rng.standard_normal((RELATION_SAMPLES, 2 * n))
+        x = np.vstack([ramp_even(n), ramp_odd(n), _complex_rows(draws, n)])
         scale = n * np.maximum(_norms(x), 1e-300)
         diff = _norms(r_apply(r, x) - r_apply_via_relation(r, x))
         worst_relation = max(worst_relation, float(np.max(diff / scale)))
@@ -116,13 +116,13 @@ def relation_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
     ]
 
 
-def nilpotent_suite(n_lo: int, n_hi: int, tol_nilp: float = 1e-8) -> list[Metric]:
+def nilpotent_suite(n_lo: int, n_hi: int) -> list[Metric]:
     """Power norms of the scaled operator, plus sign-pattern preservation."""
     metrics = []
     mismatches = 0
     for n in range(n_lo, n_hi + 1):
         scaled = nilpotent_realization(n)
-        power_norm, bound = _nilpotency_residual(scaled, tol_nilp)
+        power_norm, bound = _nilpotency_residual(scaled)
         metrics.append(Metric(f"nilpotent_power_norm_n{n}", power_norm, bound))
         pattern = sign_pattern_of(r_dense(SpecialTridiag(n)))
         if not has_sign_pattern(scaled, pattern):
@@ -240,14 +240,14 @@ def _random_nonsingular_sym(rng: np.random.Generator, n: int) -> np.ndarray:
     raise RuntimeError("could not draw a nonsingular centro-symmetric matrix")
 
 
-def unitary_suite(n_lo: int, n_hi: int, tol: float = 1e-11) -> list[Metric]:
+def unitary_suite(n_lo: int, n_hi: int) -> list[Metric]:
     """Unitarity defects of the plain and twisted transform matrices."""
     worst = 0.0
     for n in range(n_lo, n_hi + 1):
         pack = make_fourier_pack(n)
         for u in (pack.f_star, pack.h_star):
             worst = max(worst, _unitary_defect(u) / n)
-    return [Metric("max_unitary_defect_over_n", worst, tol)]
+    return [Metric("max_unitary_defect_over_n", worst, 1e-11)]
 
 
 def run_suite(suite: str, n_lo: int, n_hi: int, seed: int,

@@ -25,7 +25,6 @@ from centrocirc import (
     pi_minus_pit_coeffs,
     r_dense,
     reflect_eigenpair,
-    reverse,
     solve_centro_symmetric,
     solve_dense,
 )
@@ -47,11 +46,6 @@ def test_exchange_is_involution():
     for n in (1, 2, 5, 8):
         e = exchange_dense(n)
         np.testing.assert_array_equal(e @ e, np.eye(n))
-
-
-def test_reverse_matches_exchange_action():
-    x = np.array([1, 2, 3, 4, 5], dtype=np.complex128)
-    np.testing.assert_array_equal(reverse(x), exchange_dense(5) @ x)
 
 
 def test_even_odd_split_parity():

@@ -17,14 +17,12 @@ from centrocirc import (
     circ_matvec,
     circ_mul,
     circ_spectrum,
-    circ_transpose,
     poly_eval,
     scirc_dense,
     scirc_eigenpairs,
     scirc_matvec,
     scirc_mul,
     scirc_spectrum,
-    scirc_transpose,
 )
 
 SQRT_HALF = np.sqrt(0.5)
@@ -132,14 +130,6 @@ def test_dense_builders_match_index_formulas(n):
         # the sign flip must not leave negative zeros behind
         assert not np.any(np.signbit(dense.real) & (dense.real == 0))
         assert not np.any(np.signbit(dense.imag) & (dense.imag == 0))
-
-
-def test_transposes_match_dense_transpose():
-    rng = np.random.default_rng(33)
-    c = Circulant(rng.standard_normal(7))
-    s = SkewCirculant(rng.standard_normal(7))
-    np.testing.assert_array_equal(circ_dense(circ_transpose(c)), circ_dense(c).T)
-    np.testing.assert_array_equal(scirc_dense(scirc_transpose(s)), scirc_dense(s).T)
 
 
 def test_poly_eval_against_numpy():

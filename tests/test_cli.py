@@ -129,6 +129,18 @@ def test_format_complex():
         ("spectrum", "r-odd", "64", "--tol", "1e307"),
         ("spectrum", "circ", "--", "1e308,1e308,1e308"),
         ("spectrum", "scirc", "--format", "json", "--", "1e200,1e200"),
+        # sizes and ranges are ASCII digits only, not int() syntax
+        ("show", "r", "1_0"),
+        ("show", "r", " 5"),
+        ("show", "r", "+5"),
+        ("show", "r", "\u0665"),
+        ("spectrum", "r-odd", "1_6"),
+        ("verify", "relation", "\u0662..\u0663"),
+        ("verify", "relation", " 2..3"),
+        ("verify", "relation", "2.." + "9" * 5000),
+        # a coefficient list is capped like a size
+        ("spectrum", "circ", ",".join(["1"] * 1025)),
+        ("spectrum", "scirc", ",".join(["1"] * 1025)),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -159,6 +171,14 @@ def test_spectrum_circ_shift_eigenvalues(capsys):
     metric = report["metrics"][0]
     assert metric["name"] == "max_eigenpair_residual"
     assert metric["value"] <= metric["bound"]
+
+
+def test_spectrum_accepts_the_largest_coefficient_list(capsys):
+    coeffs = ",".join(["0"] * 1023 + ["1"])
+    code, out, err = run_cli(capsys, "spectrum", "circ", coeffs, "--format", "csv")
+    assert code == 0
+    assert err == ""
+    assert out.startswith("command,spectrum circ\nn,1024\n")
 
 
 def test_spectrum_accepts_i_suffix(capsys):

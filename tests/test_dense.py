@@ -1,24 +1,20 @@
-"""Dense-core helpers: coercion, norms, powers, unitarity, LU solves."""
+"""Dense-core helpers: coercion, unitarity, LU solves."""
 
 import numpy as np
 import pytest
 
 from centrocirc import (
-    DEFAULT_TOL,
     SingularMatrixError,
     SpecialTridiag,
-    Tolerance,
     basic_circulant,
     basic_skew_circulant,
     eta_minus_etat_coeffs,
     even_odd_basis,
     exchange_dense,
     fourier_star_dense,
-    frobenius_norm,
     is_unitary,
     lower_shift_dense,
     make_fourier_pack,
-    matrix_power,
     nilpotent_realization,
     nilpotent_scaling,
     omega_powers,
@@ -29,18 +25,6 @@ from centrocirc import (
     solve_dense,
 )
 from centrocirc.dense import as_matrix, as_vector
-
-
-def test_tolerance_rejects_bad_values():
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=-1.0, rel_eps=1e-10)
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=1e-10, rel_eps=float("nan"))
-
-
-def test_default_tolerance_values():
-    assert DEFAULT_TOL.abs_eps == 1e-10
-    assert DEFAULT_TOL.rel_eps == 1e-10
 
 
 def test_as_vector_coerces_to_complex():
@@ -63,23 +47,6 @@ def test_as_matrix_rejects_vector_and_nonfinite():
         as_matrix([1, 2, 3])
     with pytest.raises(ValueError):
         as_matrix([[1.0, float("nan")], [0.0, 1.0]])
-
-
-def test_frobenius_norm_known_value():
-    # sqrt(1 + 4 + 4) = 3 for ((1, 2), (2i, 0))
-    assert frobenius_norm([[1, 2], [2j, 0]]) == pytest.approx(3.0)
-
-
-def test_matrix_power_identity_and_shift():
-    a = np.array([[0, 1], [0, 0]], dtype=np.complex128)
-    np.testing.assert_array_equal(matrix_power(a, 0), np.eye(2))
-    np.testing.assert_array_equal(matrix_power(a, 1), a)
-    np.testing.assert_array_equal(matrix_power(a, 2), np.zeros((2, 2)))
-
-
-def test_matrix_power_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        matrix_power(np.eye(2), -1)
 
 
 def test_is_unitary():

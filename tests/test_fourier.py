@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from centrocirc import (
     dft_apply,
     fourier_star_dense,
-    h_apply,
     is_unitary,
     make_fourier_pack,
     omega_powers,
@@ -93,21 +92,6 @@ def test_dft_apply_matches_dense():
         np.testing.assert_allclose(dft_apply(x, inverse=True), f_star @ x, atol=1e-12)
 
 
-def test_h_apply_matches_dense():
-    rng = np.random.default_rng(2025)
-    for n in (2, 3, 8, 21):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h_star = make_fourier_pack(n).h_star
-        np.testing.assert_allclose(h_apply(x), h_star.conj().T @ x, atol=1e-12)
-        np.testing.assert_allclose(h_apply(x, inverse=True), h_star @ x, atol=1e-12)
-        # the twist follows the last axis of a stack
-        stack = np.stack([x, 2 * x[::-1]])
-        for inverse in (False, True):
-            rows = [h_apply(row, inverse=inverse) for row in stack]
-            np.testing.assert_allclose(h_apply(stack, inverse=inverse), rows,
-                                       rtol=0, atol=1e-13)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
@@ -120,14 +104,19 @@ def test_transforms_round_trip(xs):
     x = np.array(xs, dtype=np.complex128)
     scale = max(1.0, np.linalg.norm(x))
     assert np.linalg.norm(dft_apply(dft_apply(x), inverse=True) - x) <= 1e-9 * scale
-    assert np.linalg.norm(h_apply(h_apply(x), inverse=True) - x) <= 1e-9 * scale
 
 
 def test_transforms_preserve_norm():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-    for y in (dft_apply(x), h_apply(x)):
-        assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x))
+    assert np.linalg.norm(dft_apply(x)) == pytest.approx(np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.inf], [[1.0], [-np.inf]], [], [[]]])
+def test_dft_apply_rejects_nonfinite_and_empty_input(x):
+    for inverse in (False, True):
+        with pytest.raises(ValueError):
+            dft_apply(x, inverse=inverse)
 
 
 def test_sizes_below_one_rejected():

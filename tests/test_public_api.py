@@ -1,0 +1,47 @@
+"""The public surface: the names the package exports and the functions the
+benchmark's per-layer rows count."""
+
+import inspect
+import json
+from importlib import import_module
+from pathlib import Path
+
+import centrocirc
+
+PUBLIC_NAMES = [
+    "CentroSplit", "Circulant", "ComplexEntriesError", "EigenPair", "EvenOddBasis",
+    "EvenOddSplit", "FourierPack", "NotCentroSkewError", "NotCentroSymmetricError",
+    "SignPattern", "SingularMatrixError", "SkewCirculant", "SpecialTridiag",
+    "basic_circulant", "basic_skew_circulant", "block_form", "centro_split",
+    "circ_dense", "circ_eigenpairs", "circ_matvec", "circ_mul", "circ_spectrum",
+    "dft_apply", "eta_minus_etat_coeffs", "even_odd_basis", "even_odd_split",
+    "exchange_dense", "fourier_star_dense", "has_sign_pattern", "is_centro_skew",
+    "is_centro_symmetric", "is_unitary", "lower_shift_dense", "make_fourier_pack",
+    "nilpotent_realization", "nilpotent_scaling", "omega_powers",
+    "pi_minus_pit_coeffs", "poly_eval", "r_apply", "r_apply_via_relation",
+    "r_dense", "rank_one_defects", "reflect_eigenpair", "restriction_spectra",
+    "scirc_dense", "scirc_eigenpairs", "scirc_matvec", "scirc_mul",
+    "scirc_spectrum", "sigma_powers", "sign_pattern_of", "solve_centro_symmetric",
+    "solve_dense", "verify_nilpotent",
+]
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def test_public_names_are_pinned():
+    names = sorted(name for name, value in vars(centrocirc).items()
+                   if not name.startswith("_") and not inspect.ismodule(value))
+    assert names == PUBLIC_NAMES
+
+
+def test_per_layer_function_rows_name_public_functions():
+    # a row <layer>.<function>.<stat> is read from the tracer, which wraps
+    # the public functions each layer module defines
+    rows = [row["name"].split(".") for row in json.loads(BENCHMARK.read_text())["per_layer"]]
+    function_rows = [parts for parts in rows if len(parts) == 3]
+    assert function_rows
+    for layer, name, _ in function_rows:
+        module = import_module(f"centrocirc.{layer}")
+        func = getattr(module, name, None)
+        assert inspect.isfunction(func) and func.__module__ == module.__name__, (layer, name)
+        assert not name.startswith("_")
