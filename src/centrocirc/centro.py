@@ -59,10 +59,17 @@ def even_odd_split(x) -> EvenOddSplit:
     return _split_parity(as_vector(x, stacked=True))
 
 
+def _half(x: np.ndarray, odd: bool, matrix: bool = False) -> np.ndarray:
+    # one half of the split by index reversal, for an already checked stack:
+    # (y + flip y) / 2, or with odd (y - flip y) / 2; flip reverses the last
+    # axis, or with matrix the last two (E X E)
+    fx = _flip_conjugate(x) if matrix else x[..., ::-1]
+    return (x - fx if odd else x + fx) / 2
+
+
 def _split_parity(x: np.ndarray) -> EvenOddSplit:
-    # the split by index reversal, for an already checked stack x
-    rx = x[..., ::-1]
-    return EvenOddSplit(even=(x + rx) / 2, odd=(x - rx) / 2)
+    # both halves of an already checked stack of vectors
+    return EvenOddSplit(even=_half(x, odd=False), odd=_half(x, odd=True))
 
 
 @dataclass(frozen=True)
@@ -75,9 +82,13 @@ class CentroSplit:
 
 def centro_split(x) -> CentroSplit:
     """Split X, or each matrix of an ``(..., n, n)`` stack on the last two axes."""
-    x = _require_square(as_matrix(x, stacked=True))
-    fx = _flip_conjugate(x)
-    return CentroSplit(sym=(x + fx) / 2, skew=(x - fx) / 2)
+    return _split_centro(_require_square(as_matrix(x, stacked=True)))
+
+
+def _split_centro(x: np.ndarray) -> CentroSplit:
+    # both halves of an already checked stack of square matrices
+    return CentroSplit(sym=_half(x, odd=False, matrix=True),
+                       skew=_half(x, odd=True, matrix=True))
 
 
 def _entrywise_tol(x: np.ndarray) -> float:
@@ -125,8 +136,9 @@ def even_odd_basis(n: int) -> EvenOddBasis:
     return EvenOddBasis(p_cols=p, q_cols=q)
 
 
-def _fold(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """(P* x, Q* x) along ``axis``, by pairing each entry with its mirror.
+def _fold_half(x: np.ndarray, odd: bool, axis: int = -1) -> np.ndarray:
+    """P* x along ``axis``, or with ``odd`` Q* x, by pairing each entry with
+    its mirror.
 
     Entry k of P* x is (x_k + x_{n+1-k}) / sqrt(2), closed by the middle
     entry when n is odd; entry k of Q* x is (x_k - x_{n+1-k}) / sqrt(2).
@@ -135,11 +147,18 @@ def _fold(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     x = np.moveaxis(x, axis, -1)
     half = x.shape[-1] // 2
     top, mirror = x[..., :half], x[..., ::-1][..., :half]
-    even = (top + mirror) * _ROOT_HALF
-    if x.shape[-1] % 2:
-        even = np.concatenate([even, x[..., half:half + 1]], axis=-1)
-    odd = (top - mirror) * _ROOT_HALF
-    return np.moveaxis(even, -1, axis), np.moveaxis(odd, -1, axis)
+    if odd:
+        out = (top - mirror) * _ROOT_HALF
+    else:
+        out = (top + mirror) * _ROOT_HALF
+        if x.shape[-1] % 2:
+            out = np.concatenate([out, x[..., half:half + 1]], axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+def _fold(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    # (P* x, Q* x) along axis
+    return _fold_half(x, odd=False, axis=axis), _fold_half(x, odd=True, axis=axis)
 
 
 def _unfold(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -155,6 +174,12 @@ def _blocks(x: np.ndarray):
     # fold the rows, then the columns of each half: P is real, so X P = (P* X^T)^T
     rows_even, rows_odd = _fold(x, axis=-2)
     return _fold(rows_even) + _fold(rows_odd)
+
+
+def _block_pair(x: np.ndarray, diagonal: bool):
+    # only two of the four blocks: (P*XP, Q*XQ) if diagonal, else (P*XQ, Q*XP)
+    rows_even, rows_odd = _fold(x, axis=-2)
+    return _fold_half(rows_even, odd=not diagonal), _fold_half(rows_odd, odd=diagonal)
 
 
 def block_form(x):

@@ -10,8 +10,9 @@ Grammar::
                       [--seed N] [--format F] [--tol X]
 
 A coefficient list whose first entry is negative must follow ``--``, or it
-is read as an option.  A list holds at most 1024 coefficients, and sizes
-and ranges are written in the ASCII digits 0-9 only.
+is read as an option.  A list holds at most 1024 coefficients.  Sizes,
+ranges and the seed are written in the ASCII digits 0-9 only; a tolerance
+or a coefficient is ASCII only and has no ``_``.
 
 Formats: ``pretty`` (default), ``json``, ``csv``.  JSON reports follow the
 schema ``{"command", "n", "status", "metrics": [{"name", "value", "bound"}],
@@ -28,6 +29,7 @@ so identical command lines print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -60,8 +62,9 @@ from .verify import Metric, SUITE_NAMES, VERIFY_N_MAX, VERIFY_N_MIN, run_suite
 SHOW_KINDS = ("r", "pi", "eta", "exchange", "fourier", "h", "shift")
 SPECTRUM_KINDS = ("circ", "scirc", "r-even", "r-odd")
 SHOW_N_MAX = 1024
-DEFAULT_SEED = 0
-DEFAULT_RESIDUAL_TOL = 1e-10
+# the text of the default --seed and --tol, read like any other argument
+DEFAULT_SEED = "0"
+DEFAULT_RESIDUAL_TOL = "1e-10"
 
 
 class UsageError(ValueError):
@@ -108,7 +111,14 @@ def _status(metrics: list[Metric]) -> str:
     return "pass" if all(m.ok for m in metrics) else "fail"
 
 
+def _require_ascii(text: str, what: str) -> None:
+    # float() and complex() also take "1_0" and other scripts' digits
+    if not text.isascii() or "_" in text:
+        raise UsageError(f"{what} must be written in ASCII without '_', got {text!r}")
+
+
 def _parse_scalar(token: str) -> complex:
+    _require_ascii(token, "coefficient")
     # rewrite only a trailing imaginary unit: "inf" must reach the finiteness check
     text = token.strip()
     if text.endswith("i"):
@@ -133,7 +143,12 @@ def _parse_coeffs(text: str) -> np.ndarray:
     return coeffs
 
 
-def _check_tol(tol: float) -> float:
+def _parse_tol(text: str) -> float:
+    _require_ascii(text, "tolerance")
+    try:
+        tol = float(text)
+    except ValueError:
+        raise UsageError(f"cannot parse tolerance {text!r}")
     if not (np.isfinite(tol) and tol >= 0):
         raise UsageError(f"tolerance must be finite and nonnegative, got {tol!r}")
     return tol
@@ -193,10 +208,10 @@ def cmd_show(kind: str, size_text: str) -> CommandReport:
 
 
 def cmd_spectrum(kind: str, arg: str,
-                 tol: float = DEFAULT_RESIDUAL_TOL) -> CommandReport:
+                 tol_text: str = DEFAULT_RESIDUAL_TOL) -> CommandReport:
     if kind not in SPECTRUM_KINDS:
         raise UsageError(f"unknown spectrum kind {kind!r}")
-    _check_tol(tol)
+    tol = _parse_tol(tol_text)
     if kind == "circ":
         matrix = Circulant(_parse_coeffs(arg))
     elif kind == "scirc":
@@ -237,14 +252,13 @@ def cmd_spectrum(kind: str, arg: str,
     )
 
 
-def cmd_verify(suite: str, range_text: str, seed: int = DEFAULT_SEED,
-               tol: float = DEFAULT_RESIDUAL_TOL) -> CommandReport:
+def cmd_verify(suite: str, range_text: str, seed_text: str = DEFAULT_SEED,
+               tol_text: str = DEFAULT_RESIDUAL_TOL) -> CommandReport:
     if suite not in SUITE_NAMES:
         raise UsageError(f"unknown suite {suite!r}")
     lo, hi = _parse_range(range_text)
-    if seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {seed}")
-    metrics = run_suite(suite, lo, hi, seed, relation_tol=_check_tol(tol))
+    seed = _parse_digits(seed_text, "seed")
+    metrics = run_suite(suite, lo, hi, seed, relation_tol=_parse_tol(tol_text))
     return CommandReport(
         command=f"verify {suite}", n=hi, status=_status(metrics),
         metrics=metrics, seed=seed, n_range=f"{lo}..{hi}",
@@ -303,7 +317,10 @@ def _pretty_cell(z: complex) -> str:
     return f"{z.real:.6g}{z.imag:+.6g}i"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused: parse_args keeps
+    # no state between calls
     parser = argparse.ArgumentParser(
         prog="centrocirc",
         description="Structured-matrix toolkit: build, diagonalize and verify "
@@ -313,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("pretty", "json", "csv"),
                         default="pretty", help="output format")
-    common.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,
+    common.add_argument("--tol", default=DEFAULT_RESIDUAL_TOL,
                         help="residual tolerance for spectrum/relation checks")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -333,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="run a seeded invariant suite over a size range")
     verify.add_argument("suite", choices=SUITE_NAMES)
     verify.add_argument("range", help="size range like 2..16")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    verify.add_argument("--seed", default=DEFAULT_SEED,
                         help="seed for the PCG64 generator")
     return parser
 
@@ -348,9 +365,9 @@ def _run(argv) -> tuple[str | None, int]:
         if args.command == "show":
             report = cmd_show(args.kind, args.n)
         elif args.command == "spectrum":
-            report = cmd_spectrum(args.kind, args.arg, tol=args.tol)
+            report = cmd_spectrum(args.kind, args.arg, args.tol)
         else:
-            report = cmd_verify(args.suite, args.range, seed=args.seed, tol=args.tol)
+            report = cmd_verify(args.suite, args.range, args.seed, args.tol)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2

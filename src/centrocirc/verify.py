@@ -16,8 +16,10 @@ import numpy as np
 from .dense import SingularMatrixError, _unitary_defect, solve_dense
 from .fourier import make_fourier_pack
 from .centro import (
-    block_form,
-    centro_split,
+    _block_pair,
+    _half,
+    _split_centro,
+    _split_parity,
     even_odd_split,
     solve_centro_symmetric,
 )
@@ -158,11 +160,11 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
         for k in _chunks(samples, n):
             draws = rng.standard_normal((k, 2 * n + 4 * n * n))
             x = _complex_rows(draws, n)
-            split = even_odd_split(x)
+            split = _split_parity(x)
             scale = np.maximum(_norms(x), 1e-300)
             # E+ + E- = I, projections idempotent and orthogonal
-            of_even = even_odd_split(split.even)
-            of_odd = even_odd_split(split.odd)
+            of_even = _split_parity(split.even)
+            of_odd = _split_parity(split.odd)
             residual = _norms(split.even + split.odd - x)
             residual += _norms(of_even.even - split.even)
             residual += _norms(of_even.odd)
@@ -171,40 +173,41 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             worst_projection = max(worst_projection, float(np.max(residual / scale)))
 
             mats = draws[:, 2 * n:].reshape(k, 4, n, n)
-            parts = centro_split(mats[:, 0] + 1j * mats[:, 1])
-            other = centro_split(mats[:, 2] + 1j * mats[:, 3])
+            parts = _split_centro(mats[:, 0] + 1j * mats[:, 1])
+            other = _split_centro(mats[:, 2] + 1j * mats[:, 3])
             sym_norm = _fro_norms(parts.sym)
             skew_norm = _fro_norms(parts.skew)
             parts_norm = np.maximum(sym_norm + skew_norm, 1e-300)
             other_norm = _fro_norms(other.sym) + _fro_norms(other.skew)
             mscale = parts_norm * np.maximum(other_norm, 1e-300)
-            table = _fro_norms(centro_split(parts.sym @ other.sym).skew)
-            table += _fro_norms(centro_split(parts.sym @ other.skew).sym)
-            table += _fro_norms(centro_split(parts.skew @ other.sym).sym)
-            table += _fro_norms(centro_split(parts.skew @ other.skew).skew)
+            # only the half that must vanish: sym * sym is sym, sym * skew is skew, ...
+            table = _fro_norms(_half(parts.sym @ other.sym, odd=True, matrix=True))
+            table += _fro_norms(_half(parts.sym @ other.skew, odd=False, matrix=True))
+            table += _fro_norms(_half(parts.skew @ other.sym, odd=False, matrix=True))
+            table += _fro_norms(_half(parts.skew @ other.skew, odd=True, matrix=True))
             worst_table = max(worst_table, float(np.max(table / mscale)))
 
             sym_scale = np.maximum(sym_norm, 1e-300) * scale
             skew_scale = np.maximum(skew_norm, 1e-300) * scale
             parity = (
-                _norms(even_odd_split(_matvecs(parts.sym, split.even)).odd)
-                + _norms(even_odd_split(_matvecs(parts.sym, split.odd)).even)
+                _norms(_half(_matvecs(parts.sym, split.even), odd=True))
+                + _norms(_half(_matvecs(parts.sym, split.odd), odd=False))
             ) / sym_scale
             parity = np.maximum(parity, (
-                _norms(even_odd_split(_matvecs(parts.skew, split.even)).even)
-                + _norms(even_odd_split(_matvecs(parts.skew, split.odd)).odd)
+                _norms(_half(_matvecs(parts.skew, split.even), odd=False))
+                + _norms(_half(_matvecs(parts.skew, split.odd), odd=True))
             ) / skew_scale)
             worst_parity = max(worst_parity, float(np.max(parity)))
 
             # centro-symmetric: off-diagonal blocks vanish; centro-skew: diagonal
-            _, b12, b21, _ = block_form(parts.sym)
+            b12, b21 = _block_pair(parts.sym, diagonal=False)
             blocks = _fro_norms(b12) + _fro_norms(b21)
-            k11, _, _, k22 = block_form(parts.skew)
+            k11, k22 = _block_pair(parts.skew, diagonal=True)
             blocks += _fro_norms(k11) + _fro_norms(k22)
             worst_blocks = max(worst_blocks, float(np.max(blocks / parts_norm)))
 
             # K z = w iff K E+ z = E- w and K E- z = E+ w
-            wsplit = even_odd_split(_matvecs(parts.skew, x))
+            wsplit = _split_parity(_matvecs(parts.skew, x))
             kscale = np.maximum(skew_norm, 1e-300) * scale
             decomp = _norms(_matvecs(parts.skew, split.even) - wsplit.odd)
             decomp += _norms(_matvecs(parts.skew, split.odd) - wsplit.even)
@@ -231,7 +234,7 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
 def _random_nonsingular_sym(rng: np.random.Generator, n: int) -> np.ndarray:
     # the sym part of a Gaussian draw is almost surely fine; retry to be safe
     for _ in range(64):
-        candidate = centro_split(_complex_normal(rng, (n, n))).sym
+        candidate = _half(_complex_normal(rng, (n, n)), odd=False, matrix=True)
         try:
             solve_dense(candidate, np.ones(n, dtype=np.complex128))
         except SingularMatrixError:

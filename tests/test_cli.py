@@ -19,6 +19,7 @@ from centrocirc import (
     scirc_dense,
     scirc_eigenpairs,
 )
+from centrocirc import cli
 from centrocirc.cli import (
     Circulant,
     CommandReport,
@@ -141,6 +142,19 @@ def test_format_complex():
         # a coefficient list is capped like a size
         ("spectrum", "circ", ",".join(["1"] * 1025)),
         ("spectrum", "scirc", ",".join(["1"] * 1025)),
+        # the seed is read like a size; a tolerance or coefficient is ASCII
+        # without "_", not Python's numeric syntax
+        ("verify", "unitary", "2..3", "--seed", "\u0663"),
+        ("verify", "unitary", "2..3", "--seed", "1_0"),
+        ("verify", "unitary", "2..3", "--seed", "+3"),
+        ("verify", "unitary", "2..3", "--seed", "3.0"),
+        ("spectrum", "r-even", "4", "--tol", "\u0663e-1_0"),
+        ("spectrum", "r-even", "4", "--tol", "1e-1_0"),
+        ("verify", "relation", "2..3", "--tol", "\u0661e-3"),
+        ("spectrum", "circ", "\u0663,1_0"),
+        ("spectrum", "circ", "\uff11,2"),
+        ("spectrum", "scirc", "1,2_0"),
+        ("spectrum", "circ", "1,\u0662i"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -148,6 +162,75 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_cli_import_builds_no_parser_and_main_builds_it_once():
+    # a fresh process counts every ArgumentParser built, subparsers included
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import centrocirc.cli as cli
+after_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(["verify", "unitary", "2..2"])
+    after_first = len(built)
+    for argv in (["show", "r", "3"], ["--help"], ["show", "r", "1"], ["bogus"],
+                 ["verify", "unitary", "2..3", "--seed", "x"]) * 10:
+        cli.main(argv)
+print(after_import, after_first, len(built))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_first, after_all = map(int, proc.stdout.split())
+    assert after_import == 0
+    assert after_first > 0
+    assert after_all == after_first
+
+
+_PARSER_SEQUENCE = [
+    ["verify", "unitary", "2..3", "--seed", "4", "--tol", "1e-3", "--format", "json"],
+    ["verify", "unitary", "2..3"],
+    ["--help"],
+    ["show", "r", "1"],
+    ["spectrum", "circ", "1,2i", "--tol", "0", "--format", "csv"],
+    ["verify", "--help"],
+    ["show", "pi", "3", "--format", "xml"],
+    ["spectrum", "circ", "--", "-1,2"],
+    [],
+    ["frobnicate"],
+    ["verify", "unitary", "2..3", "--seed"],
+    ["spectrum", "scirc", "1,2"],
+    ["show", "exchange", "3", "--format", "pretty"],
+    ["verify", "nilpotent", "2..4", "--format", "csv"],
+    ["spectrum", "--help"],
+    ["show", "shift", "2"],
+]
+
+
+def _captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_like_a_fresh_one(monkeypatch):
+    # each call through the shared parser, after all the calls before it,
+    # prints what a newly built parser prints
+    fresh_parser = cli._build_parser.__wrapped__
+    for argv in _PARSER_SEQUENCE:
+        shared = _captured_main(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", fresh_parser)
+            assert _captured_main(argv) == shared, argv
+    assert [_captured_main(argv)[0] for argv in _PARSER_SEQUENCE] == [
+        0, 0, 0, 2, 1, 0, 2, 0, 2, 2, 2, 0, 0, 0, 0, 0]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -6,23 +6,33 @@ import numpy as np
 import pytest
 
 from centrocirc import (
+    CentroSplit,
     EvenOddSplit,
     FourierPack,
+    SingularMatrixError,
+    block_form,
     centro,
+    centro_split,
+    dense,
     even_odd_split,
     make_fourier_pack,
     nilpotent_realization,
     relation,
+    solve_centro_symmetric,
+    solve_dense,
     verify,
     verify_nilpotent,
 )
 from centrocirc.cli import main
 from centrocirc.dense import _unitary_defect
 from centrocirc.verify import (
+    CENTRO_CHUNK_ENTRIES,
+    CENTRO_SAMPLES,
     Metric,
     SUITE_NAMES,
     VERIFY_N_MAX,
     VERIFY_N_MIN,
+    centro_suite,
     nilpotent_suite,
     ramp_even,
     ramp_odd,
@@ -154,6 +164,150 @@ NILPOTENT_BOUND_TOO_LOOSE = pytest.mark.xfail(strict=True, reason=(
 def test_nilpotent_metric_rejects_identity(monkeypatch, n):
     monkeypatch.setattr(verify, "nilpotent_realization", _identity)
     assert not _metric(nilpotent_suite(n, n), f"nilpotent_power_norm_n{n}").ok
+
+
+def _unscaled_split(x):
+    rx = x[..., ::-1]
+    return EvenOddSplit(even=x + rx, odd=x - rx)
+
+
+def _adjoint_split(x):
+    # conjugation by the adjoint instead of E: Hermitian and skew-Hermitian
+    # parts (at n = 2 the skew part of the plain transpose is centro-skew)
+    xh = np.swapaxes(x, -1, -2).conj()
+    return CentroSplit(sym=(x + xh) / 2, skew=(x - xh) / 2)
+
+
+def _perturbed_half_solve(a, w):
+    return solve_centro_symmetric(a, w) * (1 + 1e-6)
+
+
+# the centro suite's metric -> (the name in verify to replace, its bad stand-in)
+CENTRO_CONTROLS = {
+    "max_projection_residual": ("_split_parity", _unscaled_split),
+    "max_multiplication_table_residual": ("_split_centro", _adjoint_split),
+    "max_action_parity_residual": ("_split_centro", _adjoint_split),
+    "max_block_structure_residual": ("_split_centro", _adjoint_split),
+    "max_solution_decomposition_residual": ("_split_centro", _adjoint_split),
+    "max_half_vs_full_solve_difference": ("solve_centro_symmetric", _perturbed_half_solve),
+}
+
+
+@pytest.mark.parametrize("n", VERIFY_SIZES)
+@pytest.mark.parametrize("metric", list(CENTRO_CONTROLS))
+def test_centro_metric_rejects_known_bad_input(monkeypatch, metric, n):
+    name, bad = CENTRO_CONTROLS[metric]
+    monkeypatch.setattr(verify, name, bad)
+    metrics = centro_suite(n, n, np.random.default_rng(n), samples=2)
+    assert not _metric(metrics, metric).ok
+
+
+def _reference_centro_suite(n, rng):
+    """The centro suite's six values at one n, the long way: the public,
+    checked even_odd_split, centro_split and block_form, with both halves of
+    every split and all four blocks built."""
+    worst = dict.fromkeys(CENTRO_CONTROLS, 0.0)
+
+    def record(metric, values):
+        worst[metric] = max(worst[metric], float(np.max(values)))
+
+    def norms(v):
+        return np.linalg.norm(v, axis=-1)
+
+    def fro(m):
+        return np.linalg.norm(m, axis=(-2, -1))
+
+    def matvecs(a, v):
+        return (a @ v[..., None])[..., 0]
+
+    chunk = max(1, CENTRO_CHUNK_ENTRIES // (n * n))
+    for start in range(0, CENTRO_SAMPLES, chunk):
+        k = min(chunk, CENTRO_SAMPLES - start)
+        draws = rng.standard_normal((k, 2 * n + 4 * n * n))
+        x = draws[:, :n] + 1j * draws[:, n:2 * n]
+        split = even_odd_split(x)
+        scale = np.maximum(norms(x), 1e-300)
+        of_even, of_odd = even_odd_split(split.even), even_odd_split(split.odd)
+        residual = norms(split.even + split.odd - x)
+        residual += norms(of_even.even - split.even)
+        residual += norms(of_even.odd)
+        residual += norms(of_odd.odd - split.odd)
+        residual += norms(of_odd.even)
+        record("max_projection_residual", residual / scale)
+
+        mats = draws[:, 2 * n:].reshape(k, 4, n, n)
+        parts = centro_split(mats[:, 0] + 1j * mats[:, 1])
+        other = centro_split(mats[:, 2] + 1j * mats[:, 3])
+        sym_norm, skew_norm = fro(parts.sym), fro(parts.skew)
+        parts_norm = np.maximum(sym_norm + skew_norm, 1e-300)
+        other_norm = fro(other.sym) + fro(other.skew)
+        table = fro(centro_split(parts.sym @ other.sym).skew)
+        table += fro(centro_split(parts.sym @ other.skew).sym)
+        table += fro(centro_split(parts.skew @ other.sym).sym)
+        table += fro(centro_split(parts.skew @ other.skew).skew)
+        record("max_multiplication_table_residual",
+               table / (parts_norm * np.maximum(other_norm, 1e-300)))
+
+        parity = (norms(even_odd_split(matvecs(parts.sym, split.even)).odd)
+                  + norms(even_odd_split(matvecs(parts.sym, split.odd)).even)
+                  ) / (np.maximum(sym_norm, 1e-300) * scale)
+        parity = np.maximum(parity, (
+            norms(even_odd_split(matvecs(parts.skew, split.even)).even)
+            + norms(even_odd_split(matvecs(parts.skew, split.odd)).odd)
+        ) / (np.maximum(skew_norm, 1e-300) * scale))
+        record("max_action_parity_residual", parity)
+
+        _, b12, b21, _ = block_form(parts.sym)
+        k11, _, _, k22 = block_form(parts.skew)
+        blocks = fro(b12) + fro(b21)
+        blocks += fro(k11) + fro(k22)
+        record("max_block_structure_residual", blocks / parts_norm)
+
+        wsplit = even_odd_split(matvecs(parts.skew, x))
+        decomp = norms(matvecs(parts.skew, split.even) - wsplit.odd)
+        decomp += norms(matvecs(parts.skew, split.odd) - wsplit.even)
+        record("max_solution_decomposition_residual",
+               decomp / (np.maximum(skew_norm, 1e-300) * scale))
+
+    while True:
+        sym = centro_split(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).sym
+        try:
+            solve_dense(sym, np.ones(n, dtype=np.complex128))
+            break
+        except SingularMatrixError:
+            continue
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z_full = solve_dense(sym, w)
+    z_half = solve_centro_symmetric(sym, w)
+    record("max_half_vs_full_solve_difference",
+           np.linalg.norm(z_half - z_full) / (1.0 + np.linalg.norm(z_full)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64])
+def test_centro_suite_values_equal_the_checked_reference(n, seed):
+    metrics = centro_suite(n, n, np.random.default_rng(seed))
+    expected = _reference_centro_suite(n, np.random.default_rng(seed))
+    assert {m.name: m.value for m in metrics} == expected
+
+
+def test_centro_suite_checks_only_the_solver_inputs(monkeypatch):
+    # as_vector/as_matrix run inside the two solvers, a fixed number of times
+    # per size, and never on a chunk: 2 samples in one chunk and 50 in 13
+    # chunks at n = 64 make the same number of calls
+    calls = []
+    for module in (dense, centro):
+        for name in ("as_vector", "as_matrix"):
+            check = getattr(dense, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _check=check: calls.append(1) or _check(*args))
+    counts = []
+    for samples in (2, CENTRO_SAMPLES):
+        calls.clear()
+        centro_suite(64, 64, np.random.default_rng(1), samples=samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def _refuse(*args, **kwargs):
