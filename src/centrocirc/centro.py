@@ -46,7 +46,7 @@ def _flip_conjugate(x: np.ndarray) -> np.ndarray:
     return x[..., ::-1, ::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvenOddSplit:
     """x = even + odd with E even = even and E odd = -odd."""
 
@@ -72,7 +72,7 @@ def _split_parity(x: np.ndarray) -> EvenOddSplit:
     return EvenOddSplit(even=_half(x, odd=False), odd=_half(x, odd=True))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentroSplit:
     """X = sym + skew with sym centro-symmetric and skew centro-skew."""
 
@@ -106,7 +106,7 @@ def is_centro_skew(x) -> bool:
     return bool(np.max(np.abs(x + _flip_conjugate(x))) <= _entrywise_tol(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvenOddBasis:
     """Orthonormal bases: columns of p_cols even, columns of q_cols odd.
 

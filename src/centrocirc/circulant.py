@@ -25,7 +25,7 @@ from .dense import _require_length, _require_size, as_vector
 from .fourier import _twisted_apply, fourier_star_dense, make_fourier_pack, sigma_powers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FirstRow:
     # the first row both compact types share: a checked nonempty vector
     coeffs: np.ndarray
@@ -46,7 +46,7 @@ class SkewCirculant(_FirstRow):
     """First row of a skew-circulant matrix."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     value: complex
     vector: np.ndarray

@@ -51,7 +51,7 @@ def fourier_star_dense(n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierPack:
     """The dense transform matrices F* and H* for one size n."""
 

@@ -158,7 +158,7 @@ def restriction_spectra(n: int) -> tuple[np.ndarray, np.ndarray]:
     return circ_spectrum(pi_minus_pit_coeffs(n)), scirc_spectrum(eta_minus_etat_coeffs(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignPattern:
     """Square matrix with entries in {-1, 0, +1}."""
 

@@ -213,9 +213,7 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             decomp += _norms(_matvecs(parts.skew, split.odd) - wsplit.even)
             worst_decomp = max(worst_decomp, float(np.max(decomp / kscale)))
 
-        sym = _random_nonsingular_sym(rng, n)
-        w = _complex_normal(rng, n)
-        z_full = solve_dense(sym, w)
+        sym, w, z_full = _random_full_solve(rng, n)
         z_half = solve_centro_symmetric(sym, w)
         worst_solve = max(
             worst_solve,
@@ -231,15 +229,16 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
     ]
 
 
-def _random_nonsingular_sym(rng: np.random.Generator, n: int) -> np.ndarray:
-    # the sym part of a Gaussian draw is almost surely fine; retry to be safe
+def _random_full_solve(rng: np.random.Generator, n: int):
+    # sym, w and the full LU solve of sym z = w; the sym part of a Gaussian
+    # draw is almost surely nonsingular, but retry to be safe
     for _ in range(64):
-        candidate = _half(_complex_normal(rng, (n, n)), odd=False, matrix=True)
+        sym = _half(_complex_normal(rng, (n, n)), odd=False, matrix=True)
+        w = _complex_normal(rng, n)
         try:
-            solve_dense(candidate, np.ones(n, dtype=np.complex128))
+            return sym, w, solve_dense(sym, w)
         except SingularMatrixError:
             continue
-        return candidate
     raise RuntimeError("could not draw a nonsingular centro-symmetric matrix")
 
 

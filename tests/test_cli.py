@@ -358,8 +358,13 @@ def test_closed_stdout_exits_with_report_code_and_no_traceback():
 
 def _parent_spectrum_report(kind, arg, tol=1e-10):
     """The reference spectrum report, rebuilt the long way: a list of
-    eigenpairs, their vectors re-stacked with column_stack, and the dense
-    residual of the stacked matrix."""
+    eigenpairs, their vectors re-stacked with column_stack, and the residual
+    of each value against its defining sum sqrt(n) * (c . v_k).
+
+    The dense eigenpair residual ||A v_k - lambda_k v_k|| of the same pairs
+    is checked alongside: for unit v_k the two agree up to round-off, so
+    they must be within a factor of 10 of each other (or both 0), and both
+    within the bound."""
     if kind in ("circ", "scirc"):
         coeffs = np.array([complex(t.replace("i", "j")) for t in arg.split(",")])
         matrix = Circulant(coeffs) if kind == "circ" else SkewCirculant(coeffs)
@@ -372,8 +377,14 @@ def _parent_spectrum_report(kind, arg, tol=1e-10):
         pairs, dense = scirc_eigenpairs(matrix), scirc_dense(matrix)
     values = np.array([p.value for p in pairs])
     vectors = np.column_stack([p.vector for p in pairs])
-    residual = float(np.max(np.linalg.norm(dense @ vectors - vectors * values, axis=0)))
+    residual = float(np.max(np.abs(np.sqrt(matrix.n) * (matrix.coeffs @ vectors) - values)))
+    dense_residual = float(np.max(np.linalg.norm(dense @ vectors - vectors * values, axis=0)))
     bound = tol * matrix.n * max(float(np.linalg.norm(matrix.coeffs)), 1.0)
+    assert residual <= bound and dense_residual <= bound
+    if residual == 0.0 or dense_residual == 0.0:
+        assert residual == dense_residual == 0.0
+    else:
+        assert 0.1 <= residual / dense_residual <= 10.0
     metrics = [Metric("max_eigenpair_residual", residual, bound)]
     return CommandReport(command=f"spectrum {kind}", n=matrix.n,
                          status="pass" if metrics[0].ok else "fail",
@@ -399,6 +410,52 @@ def test_spectrum_report_matches_eigenpair_rebuild(capsys, kind, arg):
         assert err == ""
         assert code == (0 if expected.status == "pass" else 1)
         assert out == render_report(expected, fmt) + "\n"
+
+
+def _spectrum_argv(kind, n):
+    # a size for the r-* kinds, n random real coefficients for circ/scirc
+    if kind in ("r-even", "r-odd"):
+        return ["spectrum", kind, str(n)]
+    coeffs = np.random.default_rng(n).standard_normal(n)
+    return ["spectrum", kind, "--", ",".join(f"{c:.5f}" for c in coeffs)]
+
+
+_CONTROL_CASES = [(kind, n) for kind in cli.SPECTRUM_KINDS for n in (2, 7, 64, 1024)]
+_CONTROL_CASES += [("circ", 1), ("scirc", 1)]
+
+
+@pytest.mark.parametrize("kind,n", _CONTROL_CASES)
+def test_spectrum_rejects_a_perturbed_eigenvalue(capsys, monkeypatch, kind, n):
+    # negative control: the last eigenvalue moved by 1e-6 * max(1, ||c||),
+    # added rather than scaled, since r-even 2 has an all-zero spectrum
+    def perturbed(spectrum):
+        def wrapped(matrix):
+            values = spectrum(matrix).copy()
+            values[-1] += 1e-6 * max(1.0, float(np.linalg.norm(matrix.coeffs)))
+            return values
+        return wrapped
+
+    for name in ("circ_spectrum", "scirc_spectrum"):
+        monkeypatch.setattr(cli, name, perturbed(getattr(cli, name)))
+    code, out, err = run_cli(capsys, *_spectrum_argv(kind, n))
+    assert err == ""
+    assert code == 1
+    assert "status: fail" in out and "VIOLATED" in out
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called a dense builder")
+
+
+@pytest.mark.parametrize("kind", cli.SPECTRUM_KINDS)
+def test_spectrum_builds_no_dense_circulant(capsys, monkeypatch, kind):
+    # show pi / show eta still build them; spectrum checks without them
+    monkeypatch.setattr(cli, "circ_dense", _refuse)
+    monkeypatch.setattr(cli, "scirc_dense", _refuse)
+    code, out, err = run_cli(capsys, *_spectrum_argv(kind, 1024))
+    assert err == ""
+    assert code == 0
+    assert "status: pass" in out
 
 
 @pytest.mark.parametrize(

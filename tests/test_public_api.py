@@ -1,10 +1,13 @@
-"""The public surface: the names the package exports and the functions the
-benchmark's per-layer rows count."""
+"""The public surface: the names the package exports, the functions the
+benchmark's per-layer rows count, and how its result types compare."""
 
 import inspect
 import json
 from importlib import import_module
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import centrocirc
 
@@ -45,3 +48,27 @@ def test_per_layer_function_rows_name_public_functions():
         func = getattr(module, name, None)
         assert inspect.isfunction(func) and func.__module__ == module.__name__, (layer, name)
         assert not name.startswith("_")
+
+
+_ARRAY_RESULTS = {
+    "Circulant": lambda: centrocirc.Circulant([1, 2]),
+    "SkewCirculant": lambda: centrocirc.SkewCirculant([1, 2]),
+    "EigenPair": lambda: centrocirc.EigenPair(value=1.0, vector=np.ones(2)),
+    "EvenOddSplit": lambda: centrocirc.even_odd_split([1, 2, 3]),
+    "CentroSplit": lambda: centrocirc.centro_split(np.arange(9.0).reshape(3, 3)),
+    "EvenOddBasis": lambda: centrocirc.even_odd_basis(3),
+    "SignPattern": lambda: centrocirc.sign_pattern_of([[0, 1], [-1, 0]]),
+    "FourierPack": lambda: centrocirc.make_fourier_pack(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RESULTS))
+def test_array_results_compare_and_hash_by_identity(name):
+    # a generated field-by-field == would ask an array for its truth value
+    build = _ARRAY_RESULTS[name]
+    x, y = build(), build()
+    assert type(x).__name__ == name
+    assert x == x
+    assert (x == y) is False
+    assert x != y
+    assert len({x, y}) == 2
