@@ -170,12 +170,6 @@ def _unfold(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return np.concatenate([head, y1[..., half:], tail[..., ::-1]], axis=-1)
 
 
-def _blocks(x: np.ndarray):
-    # fold the rows, then the columns of each half: P is real, so X P = (P* X^T)^T
-    rows_even, rows_odd = _fold(x, axis=-2)
-    return _fold(rows_even) + _fold(rows_odd)
-
-
 def _block_pair(x: np.ndarray, diagonal: bool):
     # only two of the four blocks: (P*XP, Q*XQ) if diagonal, else (P*XQ, Q*XP)
     rows_even, rows_odd = _fold(x, axis=-2)
@@ -188,7 +182,10 @@ def block_form(x):
     X may also be an ``(..., n, n)`` stack; the blocks are then stacks too.
     The blocks come from the O(n^2) fold, not from P and Q.
     """
-    return _blocks(_require_square(as_matrix(x, stacked=True)))
+    x = _require_square(as_matrix(x, stacked=True))
+    # fold the rows, then the columns of each half: P is real, so X P = (P* X^T)^T
+    rows_even, rows_odd = _fold(x, axis=-2)
+    return _fold(rows_even) + _fold(rows_odd)
 
 
 def solve_centro_symmetric(a, w) -> np.ndarray:
@@ -204,7 +201,7 @@ def solve_centro_symmetric(a, w) -> np.ndarray:
         raise NotCentroSymmetricError("matrix is not centro-symmetric to tolerance")
     if a.shape[0] != w.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {w.shape}")
-    a11, _, _, a22 = _blocks(a)
+    a11, a22 = _block_pair(a, diagonal=True)
     w1, w2 = _fold(w)
     y1 = solve_dense(a11, w1)
     # n = 1 leaves no odd half to solve

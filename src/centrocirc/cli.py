@@ -22,7 +22,9 @@ additionally carry ``"seed"`` and ``"n_range"``.  Complex numbers are
 
 A spectrum's metric is ``max_k |sqrt(n) * (c . v_k) - lambda_k|`` over the unit
 eigenvectors v_k (columns of F* or H*), which equals the eigenpair residual
-``max_k ||A v_k - lambda_k v_k||``: one O(n^2) product, independent of the FFT.
+``max_k ||A v_k - lambda_k v_k||``.  Since ``c . H*_k = (sigma o c) . F*_k``,
+the skew kinds put the sigma twist on the coefficients, so every kind makes
+one O(n^2) product with the columns of F*, independent of the FFT.
 
 Exit codes: 0 when the report status is pass, 1 on a verification failure,
 2 on a usage error (a negative seed, or a spectrum whose residual bound or
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import fourier_star_dense, make_fourier_pack
+from .fourier import fourier_star_dense, make_fourier_pack, sigma_powers
 from .circulant import (
     Circulant,
     SkewCirculant,
@@ -75,13 +77,14 @@ class UsageError(ValueError):
     """Bad command-line arguments; maps to exit code 2."""
 
 
-@dataclass
+@dataclass(eq=False)
 class CommandReport:
     command: str
     n: int
     status: str
     metrics: list[Metric] = field(default_factory=list)
-    payload: dict | None = None
+    # the 2-D result: a shown matrix, or a spectrum as one column
+    matrix: np.ndarray | None = None
     seed: int | None = None
     n_range: str | None = None
 
@@ -95,16 +98,13 @@ class CommandReport:
         out["metrics"] = [
             {"name": m.name, "value": m.value, "bound": m.bound} for m in self.metrics
         ]
-        if self.payload is not None:
-            out["payload"] = self.payload
+        if self.matrix is not None:
+            m = self.matrix
+            out["payload"] = {
+                "rows": m.shape[0], "cols": m.shape[1],
+                "entries": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist(),
+            }
         return out
-
-
-def matrix_payload(a: np.ndarray) -> dict:
-    if a.ndim == 1:
-        a = a[:, None]
-    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
 
 
 def format_complex(z: complex) -> str:
@@ -207,7 +207,7 @@ def cmd_show(kind: str, size_text: str) -> CommandReport:
     }
     return CommandReport(
         command=f"show {kind}", n=n, status="pass",
-        payload=matrix_payload(builders[kind]()),
+        matrix=builders[kind](),
     )
 
 
@@ -227,25 +227,26 @@ def cmd_spectrum(kind: str, arg: str,
     n = matrix.n
     # column k of F* (circulant) or H* (skew) is a unit eigenvector with the
     # defining sum sqrt(n) * (c . column k) as eigenvalue; checking the FFT
-    # values against it is O(n^2) and equals ||A v_k - lambda_k v_k||
+    # values against it is O(n^2) and equals ||A v_k - lambda_k v_k||.  For
+    # the skew kinds c . H*_k = (sigma o c) . F*_k, so the twist goes on c
     with np.errstate(over="ignore", invalid="ignore"):
         # finite input can still overflow here; that is rejected just below
         coeff_norm = float(np.linalg.norm(matrix.coeffs))
         if isinstance(matrix, Circulant):
-            values, vectors = circ_spectrum(matrix), fourier_star_dense(n)
+            values, row = circ_spectrum(matrix), matrix.coeffs
         else:
-            values, vectors = scirc_spectrum(matrix), make_fourier_pack(n).h_star
+            values, row = scirc_spectrum(matrix), matrix.coeffs * sigma_powers(n)
     if not np.all(np.isfinite(values)):
         raise UsageError("the spectrum of these coefficients overflows")
     bound = tol * n * max(coeff_norm, 1.0)
     if not np.isfinite(bound):
         raise UsageError(f"the residual bound overflows (tolerance {tol!r}, n = {n}, "
                          f"coefficient norm {coeff_norm!r})")
-    residual = np.sqrt(n) * (matrix.coeffs @ vectors) - values
+    residual = np.sqrt(n) * (row @ fourier_star_dense(n)) - values
     metrics = [Metric("max_eigenpair_residual", float(np.max(np.abs(residual))), bound)]
     return CommandReport(
         command=f"spectrum {kind}", n=n, status=_status(metrics),
-        metrics=metrics, payload=matrix_payload(values),
+        metrics=metrics, matrix=values[:, None],
     )
 
 
@@ -279,13 +280,11 @@ def _render_csv(report: CommandReport) -> str:
     lines.append(f"status,{report.status}")
     for m in report.metrics:
         lines.append(f"metric,{m.name},{m.value!r},{m.bound!r}")
-    if report.payload is not None:
-        rows, cols = report.payload["rows"], report.payload["cols"]
+    if report.matrix is not None:
+        rows, cols = report.matrix.shape
         lines.append(f"payload,{rows},{cols}")
-        entries = report.payload["entries"]
-        for i in range(rows):
-            row = entries[i * cols:(i + 1) * cols]
-            lines.append(",".join(format_complex(complex(re, im)) for re, im in row))
+        for row in report.matrix.tolist():
+            lines.append(",".join(format_complex(z) for z in row))
     return "\n".join(lines)
 
 
@@ -297,11 +296,8 @@ def _render_pretty(report: CommandReport) -> str:
     for m in report.metrics:
         verdict = "ok" if m.ok else "VIOLATED"
         lines.append(f"  {m.name} = {m.value:.6e}  (bound {m.bound:.6e}, {verdict})")
-    if report.payload is not None:
-        rows, cols = report.payload["rows"], report.payload["cols"]
-        entries = report.payload["entries"]
-        cells = [[_pretty_cell(complex(re, im)) for re, im in
-                  entries[i * cols:(i + 1) * cols]] for i in range(rows)]
+    if report.matrix is not None:
+        cells = [[_pretty_cell(z) for z in row] for row in report.matrix.tolist()]
         width = max(len(c) for row in cells for c in row)
         for row in cells:
             lines.append("  " + "  ".join(c.rjust(width) for c in row))

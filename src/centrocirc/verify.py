@@ -189,13 +189,15 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
 
             sym_scale = np.maximum(sym_norm, 1e-300) * scale
             skew_scale = np.maximum(skew_norm, 1e-300) * scale
+            # K E+ x and K E- x, read by the parity and the decomposition metrics
+            skew_even = _matvecs(parts.skew, split.even)
+            skew_odd = _matvecs(parts.skew, split.odd)
             parity = (
                 _norms(_half(_matvecs(parts.sym, split.even), odd=True))
                 + _norms(_half(_matvecs(parts.sym, split.odd), odd=False))
             ) / sym_scale
             parity = np.maximum(parity, (
-                _norms(_half(_matvecs(parts.skew, split.even), odd=False))
-                + _norms(_half(_matvecs(parts.skew, split.odd), odd=True))
+                _norms(_half(skew_even, odd=False)) + _norms(_half(skew_odd, odd=True))
             ) / skew_scale)
             worst_parity = max(worst_parity, float(np.max(parity)))
 
@@ -209,8 +211,8 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             # K z = w iff K E+ z = E- w and K E- z = E+ w
             wsplit = _split_parity(_matvecs(parts.skew, x))
             kscale = np.maximum(skew_norm, 1e-300) * scale
-            decomp = _norms(_matvecs(parts.skew, split.even) - wsplit.odd)
-            decomp += _norms(_matvecs(parts.skew, split.odd) - wsplit.even)
+            decomp = _norms(skew_even - wsplit.odd)
+            decomp += _norms(skew_odd - wsplit.even)
             worst_decomp = max(worst_decomp, float(np.max(decomp / kscale)))
 
         sym, w, z_full = _random_full_solve(rng, n)

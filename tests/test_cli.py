@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, formats, exit codes, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -15,9 +16,11 @@ from centrocirc import (
     circ_dense,
     circ_eigenpairs,
     eta_minus_etat_coeffs,
+    fourier_star_dense,
     pi_minus_pit_coeffs,
     scirc_dense,
     scirc_eigenpairs,
+    sigma_powers,
 )
 from centrocirc import cli
 from centrocirc.cli import (
@@ -27,7 +30,6 @@ from centrocirc.cli import (
     SkewCirculant,
     format_complex,
     main,
-    matrix_payload,
     render_report,
 )
 
@@ -94,6 +96,102 @@ def test_show_eta2_csv(capsys):
 def test_format_complex():
     assert format_complex(1j) == "0+1i"
     assert format_complex(-1.5 - 2j) == "-1.5-2i"
+
+
+def _pair_payload(a):
+    # the reference layout: one [re, im] pair of floats per entry, row-major;
+    # a 1-D spectrum is one column
+    if a.ndim == 1:
+        a = a[:, None]
+    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
+
+
+def _pair_rows(payload, cell):
+    # decode the pairs back into rows of formatted cells
+    rows, cols, entries = payload["rows"], payload["cols"], payload["entries"]
+    return [[cell(complex(re, im)) for re, im in entries[i * cols:(i + 1) * cols]]
+            for i in range(rows)]
+
+
+def _pair_render(report, payload, fmt):
+    """The three formats of a report rendered from its [re, im] pair payload."""
+    if fmt == "json":
+        return json.dumps({**report.to_dict(), "payload": payload}, indent=2)
+    head = render_report(CommandReport(report.command, report.n, report.status,
+                                       report.metrics), fmt)
+    if fmt == "csv":
+        lines = [f"payload,{payload['rows']},{payload['cols']}"]
+        lines += [",".join(row) for row in _pair_rows(payload, format_complex)]
+    else:
+        cells = _pair_rows(payload, cli._pretty_cell)
+        width = max(len(c) for row in cells for c in row)
+        lines = ["  " + "  ".join(c.rjust(width) for c in row) for row in cells]
+    return "\n".join([head, *lines])
+
+
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 6.123e-17, -6.123e-17, 1e-300, 1e300]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def _matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    parts = draw(st.lists(_PARTS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    # set the parts one by one: arithmetic would lose the sign of a zero
+    m = np.empty((rows, cols), dtype=np.complex128)
+    m.real = np.reshape(parts[::2], (rows, cols))
+    m.imag = np.reshape(parts[1::2], (rows, cols))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_rendered_matrix_matches_pair_payload(m):
+    # the report keeps the array and renders it directly; every format must
+    # print what the [re, im] pair layout decoded back into rows prints
+    report = CommandReport(command="show x", n=m.shape[0], status="pass",
+                           metrics=[Metric("m", 0.5, 1.0)], matrix=m)
+    payload = _pair_payload(m[:, 0] if m.shape[1] == 1 else m)
+    # json.dumps tells -0.0 from 0.0 and 1 from 1.0; == does not
+    assert json.dumps(report.to_dict()["payload"]) == json.dumps(payload)
+    for fmt in ("pretty", "json", "csv"):
+        assert render_report(report, fmt) == _pair_render(report, payload, fmt)
+
+
+# sha256 of stdout at n = 7, from the [re, im] pair renderers
+_SHOW_7_SHA256 = {
+    ("r", "pretty"): "965a43b18cad0bc14e37c13ba218662fb7d7c7c3ac97d4eda1645ab0b64db57c",
+    ("r", "json"): "39af7935139ed494ec435e905b016875f0fc2219bd9eb8b3a8df8b7a10db5fd4",
+    ("r", "csv"): "387dbf39bc135a45ba129120155a2024edd8abf2a018a4e6a1b3fe9292ef6050",
+    ("pi", "pretty"): "92cb02a4b788007936aa5517ad854390179c6a1de1af094f34d82711ade1edff",
+    ("pi", "json"): "55bfb02c011a1b872df9b85bb13055fc66f1bbdeb1546388abf3ffbe86afc4a6",
+    ("pi", "csv"): "99f2fa7b2d4fca1d494549481a0d3228a6d1684eadf1d9fb2f2f4062b8256a7e",
+    ("eta", "pretty"): "83a7ba4c56789b9421eb0a93a9670ca7818c7f5c380507f1aea3056443f20c3d",
+    ("eta", "json"): "21229b3856672e0813c696a7d78d66461e859c7ae83d336ddfceffe224fa759a",
+    ("eta", "csv"): "a4e12a5f0f352fb8e9c67c198662e6f13561ee2263a31b9ac64a5060e843f30e",
+    ("exchange", "pretty"): "0f3ee8b7be424c3c6e652d388fc35371c98329963e345e90537efbdefa703cca",
+    ("exchange", "json"): "06042317c37327dbf012be68b35ecd6ef2921c6c04a58d68ff34902c7813370a",
+    ("exchange", "csv"): "8ea49bdf0007d5ca193987ef02c9397e1024afa2673904a12adc2b5caef34713",
+    ("fourier", "pretty"): "96e3dd7e625920116cdee91d309b30b8e0220b99e1ce6a92728996b20772d7c5",
+    ("fourier", "json"): "3cbf85b8365b13ac30499d68e2df27a9a16e47818b28431f8acd1607906479fa",
+    ("fourier", "csv"): "d254111286bbf80d137fca4f698c9971be9c29bd834f03610524c38378af6ff1",
+    ("h", "pretty"): "ce2354023838953ec88e117f93f8be9c07ac0b306e38f3970a1951d98c291797",
+    ("h", "json"): "66af7b69534f057f1a309dcb88fc79a9010b3f62f03b07deaeab55c754a99bf3",
+    ("h", "csv"): "ce8e2d4a73fb1f46feb678886186569a913517a50dff57432f66d1335890de0f",
+    ("shift", "pretty"): "75a8a45752a24546bd0a10d735064f2614c6a567491683eaf71da560d637d005",
+    ("shift", "json"): "caf0e32b6f596acaf036fc7490e88343ba2feac0320e5a4ffc0b01b02ad437d7",
+    ("shift", "csv"): "3f93667cce2c8128bace8e7365cd1c10a3b92ccc960208317fc3847bb698a63d",
+}
+
+
+@pytest.mark.parametrize("kind,fmt", sorted(_SHOW_7_SHA256))
+def test_show_7_bytes_are_pinned(capsys, kind, fmt):
+    code, out, err = run_cli(capsys, "show", kind, "7", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _SHOW_7_SHA256[kind, fmt]
 
 
 @pytest.mark.parametrize(
@@ -357,14 +455,15 @@ def test_closed_stdout_exits_with_report_code_and_no_traceback():
 
 
 def _parent_spectrum_report(kind, arg, tol=1e-10):
-    """The reference spectrum report, rebuilt the long way: a list of
-    eigenpairs, their vectors re-stacked with column_stack, and the residual
-    of each value against its defining sum sqrt(n) * (c . v_k).
+    """The reference spectrum report, rebuilt from a list of eigenpairs: the
+    residual of each value against its defining sum sqrt(n) * (row . F*_k),
+    with row = c, or for the skew kinds the twisted sigma o c.
 
-    The dense eigenpair residual ||A v_k - lambda_k v_k|| of the same pairs
-    is checked alongside: for unit v_k the two agree up to round-off, so
-    they must be within a factor of 10 of each other (or both 0), and both
-    within the bound."""
+    Two cross-checks of the same pairs ride along: the defining sum over
+    the column_stack-ed eigenvectors, c . v_k, and the dense eigenpair
+    residual ||A v_k - lambda_k v_k||.  For unit v_k all three agree up to
+    round-off, so each cross-check must be within the bound and within a
+    factor of 10 of the metric (or all three are 0)."""
     if kind in ("circ", "scirc"):
         coeffs = np.array([complex(t.replace("i", "j")) for t in arg.split(",")])
         matrix = Circulant(coeffs) if kind == "circ" else SkewCirculant(coeffs)
@@ -375,20 +474,24 @@ def _parent_spectrum_report(kind, arg, tol=1e-10):
         pairs, dense = circ_eigenpairs(matrix), circ_dense(matrix)
     else:
         pairs, dense = scirc_eigenpairs(matrix), scirc_dense(matrix)
+    n, coeffs = matrix.n, matrix.coeffs
     values = np.array([p.value for p in pairs])
     vectors = np.column_stack([p.vector for p in pairs])
-    residual = float(np.max(np.abs(np.sqrt(matrix.n) * (matrix.coeffs @ vectors) - values)))
+    row = coeffs if isinstance(matrix, Circulant) else coeffs * sigma_powers(n)
+    residual = float(np.max(np.abs(np.sqrt(n) * (row @ fourier_star_dense(n)) - values)))
+    pair_residual = float(np.max(np.abs(np.sqrt(n) * (coeffs @ vectors) - values)))
     dense_residual = float(np.max(np.linalg.norm(dense @ vectors - vectors * values, axis=0)))
-    bound = tol * matrix.n * max(float(np.linalg.norm(matrix.coeffs)), 1.0)
-    assert residual <= bound and dense_residual <= bound
-    if residual == 0.0 or dense_residual == 0.0:
-        assert residual == dense_residual == 0.0
+    bound = tol * n * max(float(np.linalg.norm(coeffs)), 1.0)
+    checks = (pair_residual, dense_residual)
+    assert all(check <= bound for check in checks)
+    if 0.0 in (residual, *checks):
+        assert residual == pair_residual == dense_residual == 0.0
     else:
-        assert 0.1 <= residual / dense_residual <= 10.0
+        assert all(0.1 <= check / residual <= 10.0 for check in checks)
     metrics = [Metric("max_eigenpair_residual", residual, bound)]
-    return CommandReport(command=f"spectrum {kind}", n=matrix.n,
+    return CommandReport(command=f"spectrum {kind}", n=n,
                          status="pass" if metrics[0].ok else "fail",
-                         metrics=metrics, payload=matrix_payload(values))
+                         metrics=metrics, matrix=values[:, None])
 
 
 _SPECTRUM_CASES = [(kind, str(n)) for kind in ("r-even", "r-odd") for n in (2, 3, 64, 1024)]
@@ -449,9 +552,11 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("kind", cli.SPECTRUM_KINDS)
 def test_spectrum_builds_no_dense_circulant(capsys, monkeypatch, kind):
-    # show pi / show eta still build them; spectrum checks without them
+    # show pi / show eta / show h still build them; spectrum checks with the
+    # columns of F* alone, the skew twist going on the coefficients
     monkeypatch.setattr(cli, "circ_dense", _refuse)
     monkeypatch.setattr(cli, "scirc_dense", _refuse)
+    monkeypatch.setattr(cli, "make_fourier_pack", _refuse)
     code, out, err = run_cli(capsys, *_spectrum_argv(kind, 1024))
     assert err == ""
     assert code == 0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import centrocirc
+from centrocirc import cli
 
 PUBLIC_NAMES = [
     "CentroSplit", "Circulant", "ComplexEntriesError", "EigenPair", "EvenOddBasis",
@@ -59,6 +60,7 @@ _ARRAY_RESULTS = {
     "EvenOddBasis": lambda: centrocirc.even_odd_basis(3),
     "SignPattern": lambda: centrocirc.sign_pattern_of([[0, 1], [-1, 0]]),
     "FourierPack": lambda: centrocirc.make_fourier_pack(3),
+    "CommandReport": lambda: cli.cmd_show("r", "2"),
 }
 
 
