@@ -13,10 +13,8 @@ and seeded verification suites (also reachable via the ``centrocirc`` CLI).
 from .dense import SingularMatrixError, is_unitary, solve_dense
 from .fourier import (
     FourierPack,
-    dft_apply,
     fourier_star_dense,
     make_fourier_pack,
-    omega_powers,
     sigma_powers,
 )
 from .circulant import (

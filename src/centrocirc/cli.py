@@ -323,8 +323,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("pretty", "json", "csv"),
                         default="pretty", help="output format")
-    common.add_argument("--tol", default=DEFAULT_RESIDUAL_TOL,
-                        help="residual tolerance for spectrum/relation checks")
+    # spectrum and verify bound a residual; show has none to bound
+    tolerant = argparse.ArgumentParser(add_help=False)
+    tolerant.add_argument("--tol", default=DEFAULT_RESIDUAL_TOL,
+                          help="residual tolerance for spectrum/relation checks")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -333,13 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
     show.add_argument("kind", choices=SHOW_KINDS)
     show.add_argument("n", help="matrix size")
 
-    spectrum = sub.add_parser("spectrum", parents=[common],
+    spectrum = sub.add_parser("spectrum", parents=[common, tolerant],
                               help="print eigenvalues with residual metrics")
     spectrum.add_argument("kind", choices=SPECTRUM_KINDS)
     spectrum.add_argument("arg", help="comma-separated coefficients, or a size; "
                                       "a list starting with '-' must follow '--'")
 
-    verify = sub.add_parser("verify", parents=[common],
+    verify = sub.add_parser("verify", parents=[common, tolerant],
                             help="run a seeded invariant suite over a size range")
     verify.add_argument("suite", choices=SUITE_NAMES)
     verify.add_argument("range", help="size range like 2..16")

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import _require_size, as_vector
+from .dense import _require_size
 
 
-def omega_powers(n: int) -> np.ndarray:
+def _omega_powers(n: int) -> np.ndarray:
     """[omega**0, ..., omega**(n-1)], each from its exact angle."""
     n = _require_size(n, 1)
     return np.exp(2j * np.pi * np.arange(n) / n)
@@ -38,11 +38,11 @@ def sigma_powers(n: int) -> np.ndarray:
 def fourier_star_dense(n: int) -> np.ndarray:
     """The n x n matrix with entries omega**(j*k) / sqrt(n).
 
-    Entry (j, k) is gathered from ``omega_powers(n)`` at ``j*k mod n``: n
+    Entry (j, k) is gathered from ``_omega_powers(n)`` at ``j*k mod n``: n
     exps instead of n**2, and the same bits, since each power is already
     taken from its exact reduced angle.
     """
-    powers = omega_powers(n)
+    powers = _omega_powers(n)
     j = np.arange(n)
     exponents = np.outer(j, j)
     exponents %= n
@@ -64,19 +64,6 @@ def make_fourier_pack(n: int) -> FourierPack:
     """F* and the one definition of H* = Diag(sigma**j) @ F*."""
     f_star = fourier_star_dense(n)
     return FourierPack(n=n, f_star=f_star, h_star=sigma_powers(n)[:, None] * f_star)
-
-
-def dft_apply(x, inverse: bool = False) -> np.ndarray:
-    """Multiply by F (forward) or by its inverse = F* (``inverse=True``).
-
-    Unitary normalization 1/sqrt(n) in both directions, so a forward
-    followed by an inverse is the identity to round-off.  Transforms along
-    the last axis, so an ``(..., n)`` stack is transformed vector by vector.
-    """
-    x = as_vector(x, stacked=True)
-    if inverse:
-        return np.fft.ifft(x, norm="ortho")
-    return np.fft.fft(x, norm="ortho")
 
 
 def _twisted_apply(x: np.ndarray, twist: np.ndarray, inverse: bool) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Seeded invariant suites behind the ``verify`` command.
 
 Each suite walks a size range, draws reproducible random instances from a
-PCG64 generator, measures the worst violation it sees and reports it as a
-(name, value, bound) metric.  A run passes when every metric value stays
-within its bound.  Identical seed means identical draws, so repeated runs
-produce identical reports.
+PCG64 generator and yields per-sample residuals as (name, residuals, bound)
+triples.  One reducer turns them into (name, value, bound) metrics: a
+metric's value is the largest residual yielded under its name, and a NaN
+residual makes it NaN, which fails its bound.  A run passes when every
+metric value stays within its bound.  Identical seed means identical draws,
+so repeated runs produce identical reports.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +59,26 @@ class Metric:
         return self.value <= self.bound
 
 
+_Residuals = Iterator[tuple[str, "np.ndarray | float", float]]
+
+
+def _reduced(suite):
+    # the suite's metrics: for each name, in first-yield order, the largest
+    # residual; np.maximum keeps a NaN, where max(0.0, nan) would drop it
+    @functools.wraps(suite)
+    def reduced(n_lo: int, n_hi: int, *args, **kwargs) -> list[Metric]:
+        if n_lo > n_hi:
+            raise ValueError(f"empty size range {n_lo}..{n_hi}")
+        worst: dict[str, tuple[float, float]] = {}
+        for name, residuals, bound in suite(n_lo, n_hi, *args, **kwargs):
+            value = np.max(residuals)
+            if name in worst:
+                value = np.maximum(worst[name][0], value)
+            worst[name] = value, bound
+        return [Metric(name, float(value), bound) for name, (value, bound) in worst.items()]
+    return reduced
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -92,45 +116,38 @@ def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
+@_reduced
 def relation_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
-                   tol: float = 1e-10) -> list[Metric]:
+                   tol: float = 1e-10) -> _Residuals:
     """R_n applied directly vs through its even/odd circulant restrictions.
 
     Each n is one stacked computation over the two ramps and the samples;
     the defects are applied in their rank-one form.
     """
-    worst_relation = 0.0
-    worst_defect = 0.0
     for n in range(n_lo, n_hi + 1):
         r = SpecialTridiag(n)
         draws = rng.standard_normal((RELATION_SAMPLES, 2 * n))
         x = np.vstack([ramp_even(n), ramp_odd(n), _complex_rows(draws, n)])
         scale = n * np.maximum(_norms(x), 1e-300)
         diff = _norms(r_apply(r, x) - r_apply_via_relation(r, x))
-        worst_relation = max(worst_relation, float(np.max(diff / scale)))
+        yield "max_relation_residual_over_n_normx", diff / scale, tol
         split = even_odd_split(x)
         d_plus_even, d_minus_odd = _apply_defects(split.even, split.odd)
         defect = _norms(d_plus_even) + _norms(d_minus_odd)
-        worst_defect = max(worst_defect, float(np.max(defect / scale)))
-    return [
-        Metric("max_relation_residual_over_n_normx", worst_relation, tol),
-        Metric("max_defect_on_projected_parts", worst_defect, 1e-12),
-    ]
+        yield "max_defect_on_projected_parts", defect / scale, 1e-12
 
 
-def nilpotent_suite(n_lo: int, n_hi: int) -> list[Metric]:
+@_reduced
+def nilpotent_suite(n_lo: int, n_hi: int) -> _Residuals:
     """Power norms of the scaled operator, plus sign-pattern preservation."""
-    metrics = []
     mismatches = 0
     for n in range(n_lo, n_hi + 1):
         scaled = nilpotent_realization(n)
         power_norm, bound = _nilpotency_residual(scaled)
-        metrics.append(Metric(f"nilpotent_power_norm_n{n}", power_norm, bound))
+        yield f"nilpotent_power_norm_n{n}", power_norm, bound
         pattern = sign_pattern_of(r_dense(SpecialTridiag(n)))
-        if not has_sign_pattern(scaled, pattern):
-            mismatches += 1
-    metrics.append(Metric("sign_pattern_mismatch_count", float(mismatches), 0.0))
-    return metrics
+        mismatches += not has_sign_pattern(scaled, pattern)
+    yield "sign_pattern_mismatch_count", float(mismatches), 0.0
 
 
 def _chunks(samples: int, n: int):
@@ -140,9 +157,10 @@ def _chunks(samples: int, n: int):
         yield min(k, samples - start)
 
 
+@_reduced
 def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
                  roundoff: float = 1e-12, solve_tol: float = 1e-8,
-                 samples: int = CENTRO_SAMPLES) -> list[Metric]:
+                 samples: int = CENTRO_SAMPLES) -> _Residuals:
     """Projection algebra, the centro multiplication table, block structure
     and the half-size solver against the full LU.
 
@@ -150,12 +168,8 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
     sample is one row of 2n + 4n^2 normals, x_re | x_im | A_re | A_im |
     B_re | B_im, which is the order of one vector and two matrix draws.
     """
-    worst_projection = 0.0
-    worst_table = 0.0
-    worst_parity = 0.0
-    worst_blocks = 0.0
-    worst_decomp = 0.0
-    worst_solve = 0.0
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     for n in range(n_lo, n_hi + 1):
         for k in _chunks(samples, n):
             draws = rng.standard_normal((k, 2 * n + 4 * n * n))
@@ -170,7 +184,7 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             residual += _norms(of_even.odd)
             residual += _norms(of_odd.odd - split.odd)
             residual += _norms(of_odd.even)
-            worst_projection = max(worst_projection, float(np.max(residual / scale)))
+            yield "max_projection_residual", residual / scale, roundoff
 
             mats = draws[:, 2 * n:].reshape(k, 4, n, n)
             parts = _split_centro(mats[:, 0] + 1j * mats[:, 1])
@@ -185,7 +199,7 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             table += _fro_norms(_half(parts.sym @ other.skew, odd=False, matrix=True))
             table += _fro_norms(_half(parts.skew @ other.sym, odd=False, matrix=True))
             table += _fro_norms(_half(parts.skew @ other.skew, odd=True, matrix=True))
-            worst_table = max(worst_table, float(np.max(table / mscale)))
+            yield "max_multiplication_table_residual", table / mscale, roundoff * 10
 
             sym_scale = np.maximum(sym_norm, 1e-300) * scale
             skew_scale = np.maximum(skew_norm, 1e-300) * scale
@@ -199,36 +213,26 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             parity = np.maximum(parity, (
                 _norms(_half(skew_even, odd=False)) + _norms(_half(skew_odd, odd=True))
             ) / skew_scale)
-            worst_parity = max(worst_parity, float(np.max(parity)))
+            yield "max_action_parity_residual", parity, roundoff
 
             # centro-symmetric: off-diagonal blocks vanish; centro-skew: diagonal
             b12, b21 = _block_pair(parts.sym, diagonal=False)
             blocks = _fro_norms(b12) + _fro_norms(b21)
             k11, k22 = _block_pair(parts.skew, diagonal=True)
             blocks += _fro_norms(k11) + _fro_norms(k22)
-            worst_blocks = max(worst_blocks, float(np.max(blocks / parts_norm)))
+            yield "max_block_structure_residual", blocks / parts_norm, roundoff
 
             # K z = w iff K E+ z = E- w and K E- z = E+ w
             wsplit = _split_parity(_matvecs(parts.skew, x))
-            kscale = np.maximum(skew_norm, 1e-300) * scale
             decomp = _norms(skew_even - wsplit.odd)
             decomp += _norms(skew_odd - wsplit.even)
-            worst_decomp = max(worst_decomp, float(np.max(decomp / kscale)))
+            yield "max_solution_decomposition_residual", decomp / skew_scale, roundoff
 
         sym, w, z_full = _random_full_solve(rng, n)
         z_half = solve_centro_symmetric(sym, w)
-        worst_solve = max(
-            worst_solve,
-            float(np.linalg.norm(z_half - z_full)) / (1.0 + float(np.linalg.norm(z_full))),
-        )
-    return [
-        Metric("max_projection_residual", worst_projection, roundoff),
-        Metric("max_multiplication_table_residual", worst_table, roundoff * 10),
-        Metric("max_action_parity_residual", worst_parity, roundoff),
-        Metric("max_block_structure_residual", worst_blocks, roundoff),
-        Metric("max_solution_decomposition_residual", worst_decomp, roundoff),
-        Metric("max_half_vs_full_solve_difference", worst_solve, solve_tol),
-    ]
+        difference = float(np.linalg.norm(z_half - z_full))
+        difference /= 1.0 + float(np.linalg.norm(z_full))
+        yield "max_half_vs_full_solve_difference", difference, solve_tol
 
 
 def _random_full_solve(rng: np.random.Generator, n: int):
@@ -244,14 +248,13 @@ def _random_full_solve(rng: np.random.Generator, n: int):
     raise RuntimeError("could not draw a nonsingular centro-symmetric matrix")
 
 
-def unitary_suite(n_lo: int, n_hi: int) -> list[Metric]:
+@_reduced
+def unitary_suite(n_lo: int, n_hi: int) -> _Residuals:
     """Unitarity defects of the plain and twisted transform matrices."""
-    worst = 0.0
     for n in range(n_lo, n_hi + 1):
         pack = make_fourier_pack(n)
         for u in (pack.f_star, pack.h_star):
-            worst = max(worst, _unitary_defect(u) / n)
-    return [Metric("max_unitary_defect_over_n", worst, 1e-11)]
+            yield "max_unitary_defect_over_n", _unitary_defect(u) / n, 1e-11
 
 
 def run_suite(suite: str, n_lo: int, n_hi: int, seed: int,

@@ -262,6 +262,13 @@ def test_usage_errors_exit_2(capsys, argv):
     assert out == ""
 
 
+def test_show_takes_no_tol(capsys):
+    # argparse rejects the option before any command runs
+    code, out, err = run_cli(capsys, "show", "r", "3", "--tol", "1e-3")
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: --tol 1e-3" in err
+
+
 def test_cli_import_builds_no_parser_and_main_builds_it_once():
     # a fresh process counts every ArgumentParser built, subparsers included
     script = """

@@ -17,7 +17,6 @@ from centrocirc import (
     make_fourier_pack,
     nilpotent_realization,
     nilpotent_scaling,
-    omega_powers,
     pi_minus_pit_coeffs,
     rank_one_defects,
     restriction_spectra,
@@ -94,7 +93,6 @@ def test_solve_dense_shape_mismatch():
 SIZE_FUNCTIONS = {
     exchange_dense: 1,
     even_odd_basis: 1,
-    omega_powers: 1,
     sigma_powers: 1,
     fourier_star_dense: 1,
     make_fourier_pack: 1,

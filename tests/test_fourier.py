@@ -10,13 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrocirc import (
-    dft_apply,
+    Circulant,
+    SkewCirculant,
+    circ_matvec,
     fourier_star_dense,
     is_unitary,
     make_fourier_pack,
-    omega_powers,
+    scirc_matvec,
     sigma_powers,
 )
+from centrocirc.fourier import _omega_powers
+
+
+def dft(x, inverse=False):
+    # the transform the circulant products apply: F, or F* with inverse, both
+    # with the unitary 1/sqrt(n) along the last axis
+    return np.fft.ifft(x, norm="ortho") if inverse else np.fft.fft(x, norm="ortho")
 
 
 def naive_f_star(n):
@@ -30,9 +39,9 @@ def naive_f_star(n):
 
 
 def test_omega_powers_cycle():
-    assert omega_powers(4)[1] == pytest.approx(1j)
-    assert omega_powers(2)[1] == pytest.approx(-1.0)
-    w = omega_powers(6)
+    assert _omega_powers(4)[1] == pytest.approx(1j)
+    assert _omega_powers(2)[1] == pytest.approx(-1.0)
+    w = _omega_powers(6)
     assert w[0] == 1.0
     # conj(omega^k) = omega^(n-k)
     np.testing.assert_allclose(w.conj(), np.roll(w[::-1], 1), atol=1e-15)
@@ -43,7 +52,7 @@ def test_sigma_powers_square_to_omega_powers():
     assert sigma_powers(4)[1] == pytest.approx(np.exp(1j * np.pi / 4))
     assert sigma_powers(2)[1] == pytest.approx(1j)
     n = 8
-    np.testing.assert_allclose(sigma_powers(n) ** 2, omega_powers(n), atol=1e-14)
+    np.testing.assert_allclose(sigma_powers(n) ** 2, _omega_powers(n), atol=1e-14)
     # sigma^n = -1: the defining property of the half-angle root
     assert sigma_powers(n)[1] ** n == pytest.approx(-1.0)
 
@@ -83,13 +92,14 @@ def test_h_star_is_twisted_f_star():
 
 
 def test_dft_apply_matches_dense():
+    # the numpy convention _circ_product relies on, against F* and F = (F*)^H
     rng = np.random.default_rng(2024)
     for n in (1, 2, 5, 16, 33):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f_star = fourier_star_dense(n)
         # forward transform is F = (F*)^H
-        np.testing.assert_allclose(dft_apply(x), f_star.conj().T @ x, atol=1e-12)
-        np.testing.assert_allclose(dft_apply(x, inverse=True), f_star @ x, atol=1e-12)
+        np.testing.assert_allclose(dft(x), f_star.conj().T @ x, atol=1e-12)
+        np.testing.assert_allclose(dft(x, inverse=True), f_star @ x, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,25 +113,27 @@ def test_dft_apply_matches_dense():
 def test_transforms_round_trip(xs):
     x = np.array(xs, dtype=np.complex128)
     scale = max(1.0, np.linalg.norm(x))
-    assert np.linalg.norm(dft_apply(dft_apply(x), inverse=True) - x) <= 1e-9 * scale
+    assert np.linalg.norm(dft(dft(x), inverse=True) - x) <= 1e-9 * scale
 
 
 def test_transforms_preserve_norm():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-    assert np.linalg.norm(dft_apply(x)) == pytest.approx(np.linalg.norm(x))
+    assert np.linalg.norm(dft(x)) == pytest.approx(np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.inf], [[1.0], [-np.inf]], [], [[]]])
 def test_dft_apply_rejects_nonfinite_and_empty_input(x):
-    for inverse in (False, True):
-        with pytest.raises(ValueError):
-            dft_apply(x, inverse=inverse)
+    # the DFT is applied only inside the two products, which check x first
+    n = max(1, np.shape(x)[-1])
+    for product, matrix in ((circ_matvec, Circulant), (scirc_matvec, SkewCirculant)):
+        with pytest.raises(ValueError, match="non-finite|nonempty"):
+            product(matrix(np.ones(n)), x)
 
 
 def test_sizes_below_one_rejected():
     with pytest.raises(ValueError):
-        omega_powers(0)
+        _omega_powers(0)
     with pytest.raises(ValueError):
         sigma_powers(0)
     with pytest.raises(ValueError):
@@ -130,7 +142,7 @@ def test_sizes_below_one_rejected():
 
 @pytest.mark.parametrize("n", list(range(1, 71)) + [97, 1024])
 def test_fourier_star_dense_gather_is_bitwise_the_exp_formula(n):
-    # the gather from omega_powers(n) must give exactly the n**2 exps
+    # the gather from _omega_powers(n) must give exactly the n**2 exps
     j = np.arange(n)
     expected = np.exp(2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
     assert np.array_equal(fourier_star_dense(n), expected)

@@ -1,5 +1,6 @@
 """The named verification suites behind the command-line tool."""
 
+import functools
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from centrocirc import (
     even_odd_split,
     make_fourier_pack,
     nilpotent_realization,
+    r_apply_via_relation,
     relation,
     solve_centro_symmetric,
     solve_dense,
@@ -81,6 +83,20 @@ def test_run_suite_rejects_unknown_name():
         run_suite("everything", 2, 4, seed=1)
 
 
+EMPTY_RUNS = {
+    **{suite: functools.partial(run_suite, suite, 5, 4, 0) for suite in SUITE_NAMES},
+    "centro-no-samples": functools.partial(centro_suite, 2, 4, np.random.default_rng(0),
+                                           samples=0),
+}
+
+
+@pytest.mark.parametrize("run", EMPTY_RUNS.values(), ids=EMPTY_RUNS)
+def test_empty_range_or_sample_set_raises(run):
+    # a metric over no samples would read 0.0 and pass
+    with pytest.raises(ValueError):
+        run()
+
+
 # Pretty reports of ``verify {relation,centro} 2..12 --seed 5`` as printed by
 # the per-sample suites, before they were evaluated as stacks.  Two values
 # may move: folding an exactly centro-symmetric matrix cancels bit for bit,
@@ -123,9 +139,29 @@ def _metric(metrics, name):
     return next(m for m in metrics if m.name == name)
 
 
+def _nan_first(a):
+    # a copy of a stack whose first entry is NaN: one bad sample among good ones
+    a = np.array(a)
+    a.flat[0] = np.nan
+    return a
+
+
 def _swapped_split(x):
     split = even_odd_split(x)
     return EvenOddSplit(even=split.odd, odd=split.even)
+
+
+def _nan_split(x):
+    split = even_odd_split(x)
+    return EvenOddSplit(even=_nan_first(split.even), odd=split.odd)
+
+
+def _perturbed_relation_product(r, x):
+    return r_apply_via_relation(r, x) * (1 + 1e-6)
+
+
+def _nan_relation_product(r, x):
+    return _nan_first(r_apply_via_relation(r, x))
 
 
 def _scaled_pack(n):
@@ -133,23 +169,43 @@ def _scaled_pack(n):
     return FourierPack(n=n, f_star=pack.f_star, h_star=pack.h_star * (1 + 1e-9))
 
 
+def _nan_pack(n):
+    pack = make_fourier_pack(n)
+    return FourierPack(n=n, f_star=pack.f_star, h_star=_nan_first(pack.h_star))
+
+
 def _identity(n):
     return np.eye(n, dtype=np.complex128)
+
+
+def _wrong_and_nan(wrong, nan):
+    # (stand-in, n): a wrong result at every size (ids "n"), then a NaN one
+    # (ids "nan-n"), which a max that drops NaN would pass
+    return ([pytest.param(wrong, n, id=str(n)) for n in VERIFY_SIZES]
+            + [pytest.param(nan, n, id=f"nan-{n}") for n in VERIFY_SIZES])
 
 
 # Negative controls: each metric rejects a known-bad input at every size the
 # command line accepts.
 
-@pytest.mark.parametrize("n", VERIFY_SIZES)
-def test_defect_metric_rejects_swapped_split(monkeypatch, n):
-    monkeypatch.setattr(verify, "even_odd_split", _swapped_split)
+@pytest.mark.parametrize("bad,n", _wrong_and_nan(_perturbed_relation_product,
+                                                 _nan_relation_product))
+def test_relation_metric_rejects_bad_relation_product(monkeypatch, bad, n):
+    monkeypatch.setattr(verify, "r_apply_via_relation", bad)
+    metrics = relation_suite(n, n, np.random.default_rng(n))
+    assert not _metric(metrics, "max_relation_residual_over_n_normx").ok
+
+
+@pytest.mark.parametrize("bad,n", _wrong_and_nan(_swapped_split, _nan_split))
+def test_defect_metric_rejects_swapped_split(monkeypatch, bad, n):
+    monkeypatch.setattr(verify, "even_odd_split", bad)
     metrics = relation_suite(n, n, np.random.default_rng(n))
     assert not _metric(metrics, "max_defect_on_projected_parts").ok
 
 
-@pytest.mark.parametrize("n", VERIFY_SIZES)
-def test_unitary_metric_rejects_scaled_twisted_transform(monkeypatch, n):
-    monkeypatch.setattr(verify, "make_fourier_pack", _scaled_pack)
+@pytest.mark.parametrize("bad,n", _wrong_and_nan(_scaled_pack, _nan_pack))
+def test_unitary_metric_rejects_scaled_twisted_transform(monkeypatch, bad, n):
+    monkeypatch.setattr(verify, "make_fourier_pack", bad)
     assert not _metric(unitary_suite(n, n), "max_unitary_defect_over_n").ok
 
 
@@ -178,25 +234,47 @@ def _adjoint_split(x):
     return CentroSplit(sym=(x + xh) / 2, skew=(x - xh) / 2)
 
 
+def _nan_parity_split(x):
+    # unchecked, as the suite also splits the halves this returns
+    rx = x[..., ::-1]
+    return EvenOddSplit(even=_nan_first((x + rx) / 2), odd=(x - rx) / 2)
+
+
+def _nan_centro_split(x):
+    parts = centro_split(x)
+    return CentroSplit(sym=_nan_first(parts.sym), skew=_nan_first(parts.skew))
+
+
 def _perturbed_half_solve(a, w):
     return solve_centro_symmetric(a, w) * (1 + 1e-6)
 
 
-# the centro suite's metric -> (the name in verify to replace, its bad stand-in)
+def _nan_half_solve(a, w):
+    return _nan_first(solve_centro_symmetric(a, w))
+
+
+# the centro suite's metric -> (the name in verify to replace, a wrong stand-in,
+# a NaN stand-in)
 CENTRO_CONTROLS = {
-    "max_projection_residual": ("_split_parity", _unscaled_split),
-    "max_multiplication_table_residual": ("_split_centro", _adjoint_split),
-    "max_action_parity_residual": ("_split_centro", _adjoint_split),
-    "max_block_structure_residual": ("_split_centro", _adjoint_split),
-    "max_solution_decomposition_residual": ("_split_centro", _adjoint_split),
-    "max_half_vs_full_solve_difference": ("solve_centro_symmetric", _perturbed_half_solve),
+    "max_projection_residual": ("_split_parity", _unscaled_split, _nan_parity_split),
+    "max_multiplication_table_residual": ("_split_centro", _adjoint_split, _nan_centro_split),
+    "max_action_parity_residual": ("_split_centro", _adjoint_split, _nan_centro_split),
+    "max_block_structure_residual": ("_split_centro", _adjoint_split, _nan_centro_split),
+    "max_solution_decomposition_residual": ("_split_centro", _adjoint_split, _nan_centro_split),
+    "max_half_vs_full_solve_difference": ("solve_centro_symmetric", _perturbed_half_solve,
+                                          _nan_half_solve),
 }
+CENTRO_CASES = [
+    case
+    for metric, (name, wrong, nan) in CENTRO_CONTROLS.items()
+    for case in (pytest.param(metric, name, wrong, id=metric),
+                 pytest.param(metric, name, nan, id=f"{metric}-nan"))
+]
 
 
 @pytest.mark.parametrize("n", VERIFY_SIZES)
-@pytest.mark.parametrize("metric", list(CENTRO_CONTROLS))
-def test_centro_metric_rejects_known_bad_input(monkeypatch, metric, n):
-    name, bad = CENTRO_CONTROLS[metric]
+@pytest.mark.parametrize("metric,name,bad", CENTRO_CASES)
+def test_centro_metric_rejects_known_bad_input(monkeypatch, metric, name, bad, n):
     monkeypatch.setattr(verify, name, bad)
     metrics = centro_suite(n, n, np.random.default_rng(n), samples=2)
     assert not _metric(metrics, metric).ok
