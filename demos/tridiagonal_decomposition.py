@@ -54,7 +54,7 @@ def main():
     print(f"  even = {split.even.real}")
     print(f"  odd  = {split.odd.real}")
     gap = np.linalg.norm(r_apply(r, x) - r_apply_via_relation(r, x))
-    print(f"  direct stencil vs split-and-transform route: gap = {gap:.2e}")
+    print(f"  direct stencil vs split-and-shift route: gap = {gap:.2e}")
 
     d_plus, d_minus = rank_one_defects(n)
     print("\nThe two rank-one defects (all the disagreement lives in the")

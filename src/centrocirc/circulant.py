@@ -116,26 +116,13 @@ def _twisted_spectrum(s: SkewCirculant, twist: np.ndarray) -> np.ndarray:
     return s.n * np.fft.ifft(s.coeffs * twist.copy())
 
 
-def _circ_product(c: Circulant, x: np.ndarray) -> np.ndarray:
-    # Circ(c) @ x for an already checked (..., n) stack x: F* Diag(spectrum) F
-    scaled = circ_spectrum(c) * np.fft.fft(x, norm="ortho")
-    return np.fft.ifft(scaled, norm="ortho")
-
-
-def _scirc_product(s: SkewCirculant, x: np.ndarray) -> np.ndarray:
-    # SCirc(a) @ x for an already checked (..., n) stack x; the spectrum, H
-    # and H* share one twist sigma_powers(n)
-    twist = sigma_powers(s.n)
-    scaled = _twisted_spectrum(s, twist) * _twisted_apply(x, twist, False)
-    return _twisted_apply(scaled, twist, True)
-
-
 def circ_matvec(c: Circulant, x) -> np.ndarray:
     """Fast product Circ(c) @ x: transform, scale by the spectrum, invert.
 
     x may be an ``(..., n)`` stack; each vector along the last axis is
     multiplied."""
-    return _circ_product(c, _require_length(x, c.n))
+    scaled = circ_spectrum(c) * np.fft.fft(_require_length(x, c.n), norm="ortho")
+    return np.fft.ifft(scaled, norm="ortho")
 
 
 def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
@@ -144,7 +131,10 @@ def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
     x may be an ``(..., n)`` stack, as for ``circ_matvec``.  The twist
     ``sigma_powers(n)`` is computed once per call and shared by the spectrum,
     the forward H and the inverse H*."""
-    return _scirc_product(s, _require_length(x, s.n))
+    x = _require_length(x, s.n)
+    twist = sigma_powers(s.n)
+    scaled = _twisted_spectrum(s, twist) * _twisted_apply(x, twist, False)
+    return _twisted_apply(scaled, twist, True)
 
 
 def circ_eigenpairs(c: Circulant) -> list[EigenPair]:

@@ -17,7 +17,8 @@ or a coefficient is ASCII only and has no ``_``.
 Formats: ``pretty`` (default), ``json``, ``csv``.  JSON reports follow the
 schema ``{"command", "n", "status", "metrics": [{"name", "value", "bound"}],
 "payload": {"rows", "cols", "entries": [[re, im], ...]}}``; verify reports
-additionally carry ``"seed"`` and ``"n_range"``.  Complex numbers are
+additionally carry ``"seed"`` and ``"n_range"``.  A metric value that is
+not finite is written as ``null`` and fails.  Complex numbers are
 ``[re, im]`` pairs in JSON and ``re+imi`` strings in CSV.
 
 A spectrum's metric is ``max_k |sqrt(n) * (c . v_k) - lambda_k|`` over the unit
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -95,8 +97,12 @@ class CommandReport:
         if self.seed is not None:
             out["seed"] = self.seed
         out["status"] = self.status
+        # a NaN or infinite value (only a library defect makes one) is null:
+        # the JSON stays standard, and the metric still fails its bound
         out["metrics"] = [
-            {"name": m.name, "value": m.value, "bound": m.bound} for m in self.metrics
+            {"name": m.name, "value": m.value if math.isfinite(m.value) else None,
+             "bound": m.bound}
+            for m in self.metrics
         ]
         if self.matrix is not None:
             m = self.matrix

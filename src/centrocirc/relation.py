@@ -3,7 +3,9 @@
 ``R_n`` has -1 on the subdiagonal, +1 on the superdiagonal, and a diagonal
 that is zero except for -1 in the (1,1) corner and +1 in the (n,n) corner.
 It is centro-skew, and it acts as the circulant ``pi - pi^T`` on even
-vectors and as the skew-circulant ``eta - eta^T`` on odd vectors.  The
+vectors and as the skew-circulant ``eta - eta^T`` on odd vectors, where
+``pi`` is the cyclic shift and ``eta`` the shift that negates the entry it
+wraps.  Both restrictions are applied as those shifts, in O(n).  The
 defects
 
     D_plus  = R - (pi - pi^T)  = (e_n + e_1)(e_n - e_1)^T
@@ -27,8 +29,6 @@ from .dense import _ABS_EPS, _require_length, _require_size, _require_square, as
 from .circulant import (
     Circulant,
     SkewCirculant,
-    _circ_product,
-    _scirc_product,
     _unit_shift_row,
     circ_dense,
     circ_spectrum,
@@ -103,19 +103,28 @@ def eta_minus_etat_coeffs(n: int) -> SkewCirculant:
     return SkewCirculant(coeffs)
 
 
-def r_apply_via_relation(r: SpecialTridiag, x) -> np.ndarray:
-    """Apply R_n through its even/odd restrictions: the circulant part acts
-    on the even component, the skew-circulant part on the odd component.
-    x may be an ``(..., n)`` stack, transformed along the last axis.
+def _shift_difference(y: np.ndarray, wrap: float) -> np.ndarray:
+    # (g - g^T) y along the last axis for the basic generator g, pi (wrap 1)
+    # or eta (wrap -1): y_{i+1} - y_{i-1}, the neighbour across either end
+    # taken from the other end times wrap
+    out = np.empty_like(y)
+    out[..., 1:-1] = y[..., 2:] - y[..., :-2]
+    out[..., 0] = y[..., 1] - wrap * y[..., -1]
+    out[..., -1] = wrap * y[..., 0] - y[..., -2]
+    return out
 
-    x is checked once, here.  The split by index reversal and the two
-    products reuse the unchecked kernels behind ``even_odd_split``,
-    ``circ_matvec`` and ``scirc_matvec``, so the call takes one twist
-    ``sigma_powers(n)``."""
+
+def r_apply_via_relation(r: SpecialTridiag, x) -> np.ndarray:
+    """Apply R_n through its even/odd restrictions: pi - pi^T acts on the
+    even component and eta - eta^T on the odd component, each as shifts of
+    its generator.  x may be an ``(..., n)`` stack, applied along the last
+    axis.
+
+    x is checked once, here, and split by index reversal with the kernel
+    behind ``even_odd_split``.  The call is O(n) per vector: no FFT and no
+    twist."""
     split = _split_parity(_require_length(x, r.n))
-    even_part = _circ_product(pi_minus_pit_coeffs(r.n), split.even)
-    odd_part = _scirc_product(eta_minus_etat_coeffs(r.n), split.odd)
-    return even_part + odd_part
+    return _shift_difference(split.even, 1.0) + _shift_difference(split.odd, -1.0)
 
 
 def rank_one_defects(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ so repeated runs produce identical reports.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -64,18 +65,22 @@ _Residuals = Iterator[tuple[str, "np.ndarray | float", float]]
 
 def _reduced(suite):
     # the suite's metrics: for each name, in first-yield order, the largest
-    # residual; np.maximum keeps a NaN, where max(0.0, nan) would drop it
+    # residual; a NaN, once seen, stays, where max(0.0, nan) would drop it
     @functools.wraps(suite)
     def reduced(n_lo: int, n_hi: int, *args, **kwargs) -> list[Metric]:
         if n_lo > n_hi:
             raise ValueError(f"empty size range {n_lo}..{n_hi}")
         worst: dict[str, tuple[float, float]] = {}
         for name, residuals, bound in suite(n_lo, n_hi, *args, **kwargs):
-            value = np.max(residuals)
+            if isinstance(residuals, np.ndarray):
+                residuals = np.max(residuals)
+            value = float(residuals)
             if name in worst:
-                value = np.maximum(worst[name][0], value)
+                previous = worst[name][0]
+                if math.isnan(previous) or previous > value:
+                    value = previous
             worst[name] = value, bound
-        return [Metric(name, float(value), bound) for name, (value, bound) in worst.items()]
+        return [Metric(name, value, bound) for name, (value, bound) in worst.items()]
     return reduced
 
 

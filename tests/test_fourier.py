@@ -92,7 +92,7 @@ def test_h_star_is_twisted_f_star():
 
 
 def test_dft_apply_matches_dense():
-    # the numpy convention _circ_product relies on, against F* and F = (F*)^H
+    # the numpy convention circ_matvec relies on, against F* and F = (F*)^H
     rng = np.random.default_rng(2024)
     for n in (1, 2, 5, 16, 33):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -94,7 +94,8 @@ def test_r_apply_matches_dense():
 @pytest.mark.parametrize("func", [r_apply, r_apply_via_relation],
                          ids=lambda func: func.__name__)
 def test_stacked_r_kernels_match_rows(func, n):
-    # the stencil is exact row by row; the FFT path agrees to round-off
+    # the stencil is exact row by row; the split-and-shift route agrees to
+    # round-off
     r = SpecialTridiag(n)
     rng = np.random.default_rng(400 + n)
     stack = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
@@ -108,6 +109,19 @@ def test_stacked_r_kernels_match_rows(func, n):
     stack[1, 0, n - 1] = np.inf
     with pytest.raises(ValueError):
         func(r, stack)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 2 ** 18])
+def test_r_apply_via_relation_calls_no_fft(monkeypatch, n):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, forbidden)
+    r = SpecialTridiag(n)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    np.testing.assert_allclose(r_apply_via_relation(r, x), r_apply(r, x), rtol=0, atol=1e-13)
 
 
 def test_restriction_coeff_pictures_5():

@@ -1,6 +1,7 @@
 """The named verification suites behind the command-line tool."""
 
 import functools
+import json
 import re
 
 import numpy as np
@@ -14,10 +15,12 @@ from centrocirc import (
     block_form,
     centro,
     centro_split,
+    circ_matvec,
     dense,
     even_odd_split,
     make_fourier_pack,
     nilpotent_realization,
+    pi_minus_pit_coeffs,
     r_apply_via_relation,
     relation,
     solve_centro_symmetric,
@@ -105,7 +108,7 @@ PINNED_REPORTS = {
     "relation": """\
 verify relation  (n = 2..12, seed = 5)
 status: pass
-  max_relation_residual_over_n_normx = 4.090897e-16  (bound 1.000000e-10, ok)
+  max_relation_residual_over_n_normx = 8.095729e-17  (bound 1.000000e-10, ok)
   max_defect_on_projected_parts = 0.000000e+00  (bound 1.000000e-12, ok)""",
     "centro": """\
 verify centro  (n = 2..12, seed = 5)
@@ -164,6 +167,11 @@ def _nan_relation_product(r, x):
     return _nan_first(r_apply_via_relation(r, x))
 
 
+def _pi_on_both_halves(r, x):
+    # the wrong generator on the odd half: pi - pi^T applied to all of x
+    return circ_matvec(pi_minus_pit_coeffs(r.n), x)
+
+
 def _scaled_pack(n):
     pack = make_fourier_pack(n)
     return FourierPack(n=n, f_star=pack.f_star, h_star=pack.h_star * (1 + 1e-9))
@@ -189,7 +197,9 @@ def _wrong_and_nan(wrong, nan):
 # command line accepts.
 
 @pytest.mark.parametrize("bad,n", _wrong_and_nan(_perturbed_relation_product,
-                                                 _nan_relation_product))
+                                                 _nan_relation_product)
+                         + [pytest.param(_pi_on_both_halves, n, id=f"pi-on-odd-{n}")
+                            for n in VERIFY_SIZES])
 def test_relation_metric_rejects_bad_relation_product(monkeypatch, bad, n):
     monkeypatch.setattr(verify, "r_apply_via_relation", bad)
     metrics = relation_suite(n, n, np.random.default_rng(n))
@@ -278,6 +288,32 @@ def test_centro_metric_rejects_known_bad_input(monkeypatch, metric, name, bad, n
     monkeypatch.setattr(verify, name, bad)
     metrics = centro_suite(n, n, np.random.default_rng(n), samples=2)
     assert not _metric(metrics, metric).ok
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# (suite, the name in verify to replace, a NaN stand-in, the metric it makes NaN)
+NAN_REPORTS = [
+    ("relation", "r_apply_via_relation", _nan_relation_product,
+     "max_relation_residual_over_n_normx"),
+    ("relation", "even_odd_split", _nan_split, "max_defect_on_projected_parts"),
+    ("unitary", "make_fourier_pack", _nan_pack, "max_unitary_defect_over_n"),
+] + [("centro", name, nan, metric) for metric, (name, _, nan) in CENTRO_CONTROLS.items()]
+
+
+@pytest.mark.parametrize("suite,name,bad,metric", NAN_REPORTS,
+                         ids=[case[3] for case in NAN_REPORTS])
+def test_nan_metric_is_json_null(monkeypatch, capsys, suite, name, bad, metric):
+    monkeypatch.setattr(verify, name, bad)
+    assert main(["verify", suite, "2..3", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["status"] == "fail"
+    values = {m["name"]: m["value"] for m in report["metrics"]}
+    assert values[metric] is None
+    assert main(["verify", suite, "2..3"]) == 1
+    assert f"  {metric} = nan  (bound" in capsys.readouterr().out
 
 
 def _reference_centro_suite(n, rng):
