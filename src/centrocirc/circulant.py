@@ -10,9 +10,13 @@ algebra: ``Circ(c) = c_1 I + c_2 pi + ... + c_n pi**(n-1)``, and likewise the
 basic skew-circulant generates the skew-circulants.  Products therefore
 reduce to cyclic (resp. negacyclic) convolution of coefficient vectors, and
 the eigenvalues are the coefficient polynomial evaluated at n-th roots of
-unity (resp. at odd powers of the 2n-th root).  One FFT of the first row
-(resp. of its sigma twist) gives all n of them at once; ``circ_spectrum``
-and ``scirc_spectrum`` are the only place they are computed.
+unity (resp. at odd powers of the 2n-th root).
+
+With ``D = Diag(1, sigma, ..., sigma**(n-1))``, ``SCirc(a) = D Circ(sigma o a) D*``:
+a skew-circulant's spectrum and products are the circulant ones of the
+sigma-twisted first row, conjugated by D.  So there is one FFT path, here:
+one inverse FFT of a first row gives all n eigenvalues at once, and
+``_spectrum`` is the only place they are computed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import _require_length, _require_size, as_vector
-from .fourier import _twisted_apply, fourier_star_dense, make_fourier_pack, sigma_powers
+from .fourier import fourier_star_dense, make_fourier_pack, sigma_powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,22 +102,19 @@ def poly_eval(a, t: complex) -> complex:
     return acc
 
 
+def _spectrum(row: np.ndarray) -> np.ndarray:
+    # the eigenvalues of Circ(row): p_row at omega**k, k = 0..n-1
+    return row.shape[0] * np.fft.ifft(row)
+
+
 def circ_spectrum(c: Circulant) -> np.ndarray:
     """Eigenvalues in the canonical order: p_c at omega**k, k = 0..n-1."""
-    return c.n * np.fft.ifft(c.coeffs)
+    return _spectrum(c.coeffs)
 
 
 def scirc_spectrum(s: SkewCirculant) -> np.ndarray:
-    """Eigenvalues p_a at sigma**(2k+1), via the sigma twist of the coeffs."""
-    return _twisted_spectrum(s, sigma_powers(s.n))
-
-
-def _twisted_spectrum(s: SkewCirculant, twist: np.ndarray) -> np.ndarray:
-    # The product takes a temporary copy of the twist, as it would a fresh
-    # sigma_powers(n): numpy may then compute it in place in that operand,
-    # which rounds differently from coeffs * twist under FMA.  The spectrum
-    # is thus bit for bit the same for a shared twist as for a fresh one.
-    return s.n * np.fft.ifft(s.coeffs * twist.copy())
+    """Eigenvalues p_a at sigma**(2k+1): the circulant ones of sigma o a."""
+    return _spectrum(s.coeffs * sigma_powers(s.n))
 
 
 def circ_matvec(c: Circulant, x) -> np.ndarray:
@@ -126,15 +127,14 @@ def circ_matvec(c: Circulant, x) -> np.ndarray:
 
 
 def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
-    """Fast product SCirc(a) @ x through the twisted transform.
+    """Fast product SCirc(a) @ x as D Circ(sigma o a) D* x, D = Diag(sigma**j).
 
     x may be an ``(..., n)`` stack, as for ``circ_matvec``.  The twist
-    ``sigma_powers(n)`` is computed once per call and shared by the spectrum,
-    the forward H and the inverse H*."""
+    ``sigma_powers(n)`` is computed once per call."""
     x = _require_length(x, s.n)
     twist = sigma_powers(s.n)
-    scaled = _twisted_spectrum(s, twist) * _twisted_apply(x, twist, False)
-    return _twisted_apply(scaled, twist, True)
+    scaled = _spectrum(s.coeffs * twist) * np.fft.fft(twist.conj() * x, norm="ortho")
+    return twist * np.fft.ifft(scaled, norm="ortho")
 
 
 def circ_eigenpairs(c: Circulant) -> list[EigenPair]:

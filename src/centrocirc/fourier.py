@@ -7,7 +7,11 @@ Conventions (0-based array indices j, k; size n):
 * ``f_star[j, k] = omega**(j*k) / sqrt(n)`` -- the unitary synthesis
   matrix.  Its conjugate ``F = conj(f_star)`` is the analysis matrix.
 * ``h_star = Diag(1, sigma, ..., sigma**(n-1)) @ f_star``, the twisted
-  transform that diagonalizes skew-circulants.
+  transform that diagonalizes skew-circulants.  Since
+  ``SCirc(a) = D Circ(sigma o a) D*`` with ``D = Diag(sigma**j)``, the fast
+  skew-circulant spectra and products in ``circulant`` are the circulant
+  ones of ``sigma o a`` conjugated by D; this module holds only the roots
+  and the dense matrices.
 
 Powers of the roots are always evaluated as ``exp`` of the exact angle for
 each index (with the exponent reduced mod n), never by repeated
@@ -64,11 +68,3 @@ def make_fourier_pack(n: int) -> FourierPack:
     """F* and the one definition of H* = Diag(sigma**j) @ F*."""
     f_star = fourier_star_dense(n)
     return FourierPack(n=n, f_star=f_star, h_star=sigma_powers(n)[:, None] * f_star)
-
-
-def _twisted_apply(x: np.ndarray, twist: np.ndarray, inverse: bool) -> np.ndarray:
-    # H (forward) or H* (inverse) along the last axis, with the caller's twist
-    # sigma_powers(n), so that one product through H and H* takes its n exps once
-    if inverse:
-        return twist * np.fft.ifft(x, norm="ortho")
-    return np.fft.fft(twist.conj() * x, norm="ortho")

@@ -23,6 +23,7 @@ from centrocirc import (
     scirc_matvec,
     scirc_mul,
     scirc_spectrum,
+    sigma_powers,
 )
 
 SQRT_HALF = np.sqrt(0.5)
@@ -198,6 +199,27 @@ def test_spectrum_routes_agree():
         )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+def test_scirc_spectrum_is_circ_spectrum_of_twisted_row(n):
+    # SCirc(a) = D Circ(sigma o a) D*, D = Diag(sigma**j): the same eigenvalues
+    rng = np.random.default_rng(500 + n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    np.testing.assert_array_equal(
+        scirc_spectrum(SkewCirculant(a)), circ_spectrum(Circulant(a * sigma_powers(n)))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 2**16])
+def test_scirc_matvec_is_twisted_circ_matvec(n):
+    rng = np.random.default_rng(600 + n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    twist = sigma_powers(n)
+    expected = twist * circ_matvec(Circulant(twist * a), twist.conj() * x)
+    gap = np.linalg.norm(scirc_matvec(SkewCirculant(a), x) - expected, axis=-1)
+    assert np.all(gap <= 1e-13 * np.linalg.norm(expected, axis=-1))
+
+
 @pytest.mark.parametrize("n", [2, 3, 6, 17])
 def test_matvec_matches_dense(n):
     rng = np.random.default_rng(200 + n)
@@ -346,11 +368,18 @@ def test_one_twist_per_skew_circulant_product(monkeypatch, n):
     _count_calls(monkeypatch, "centrocirc.fourier", "sigma_powers", calls.append)
     rng = np.random.default_rng(n)
     x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-    centrocirc.scirc_matvec(SkewCirculant(rng.standard_normal(n)), x)
+    s = SkewCirculant(rng.standard_normal(n))
+    shapes = []
+    _count_calls(monkeypatch, "centrocirc.dense", "as_vector",
+                 lambda args: shapes.append(np.shape(args[0])))
+    centrocirc.scirc_matvec(s, x)
     assert len(calls) == 1
+    assert shapes == [x.shape]
+    centrocirc.scirc_spectrum(s)
+    assert len(calls) == 2
     # R is applied as shifts of pi and eta: no twist at all
     centrocirc.r_apply_via_relation(centrocirc.SpecialTridiag(n), x)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", [2, 7, 64])

@@ -227,7 +227,7 @@ def test_show_7_bytes_are_pinned(capsys, kind, fmt):
         ("spectrum", "circ", "1,2", "--tol", "1e308", "--format", "json"),
         ("spectrum", "r-odd", "64", "--tol", "1e307"),
         ("spectrum", "circ", "--", "1e308,1e308,1e308"),
-        ("spectrum", "scirc", "--format", "json", "--", "1e200,1e200"),
+        ("spectrum", "scirc", "--format", "json", "--", "1e308,1e308,1e308,1e308"),
         # sizes and ranges are ASCII digits only, not int() syntax
         ("show", "r", "1_0"),
         ("show", "r", " 5"),
@@ -260,6 +260,15 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("show", "nope", "3"), ("spectrum", "nope", "4"),
+                                  ("verify", "nope", "2..3")])
+def test_unknown_kind_or_suite_exits_2(capsys, argv):
+    # argparse's choices are the one check of a kind or suite
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: argument " in err and "invalid choice: 'nope'" in err
 
 
 def test_show_takes_no_tol(capsys):
@@ -582,6 +591,25 @@ def test_spectrum_overflow_is_a_usage_error_not_a_report(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "scirc", "--format", "json", "--", "1e200,1e200"),
+        ("spectrum", "circ", "--format", "json", "1e155"),
+        ("spectrum", "circ", "--format", "json", "--", "1e308+1e308i"),
+    ],
+)
+def test_spectrum_large_coefficients_whose_norm_fits_pass(capsys, argv):
+    # the squares in the coefficient norm overflow, the norm, the bound and
+    # the eigenvalues do not
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["status"] == "pass"
+    metric = report["metrics"][0]
+    assert 0 <= metric["value"] <= metric["bound"] < float("inf")
 
 
 def test_spectrum_json_reports_are_standard_json(capsys):

@@ -189,6 +189,15 @@ def test_rank_one_defects_frozen_4():
     )
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 257])
+def test_rank_one_defects_equal_their_closed_forms(n):
+    d_plus, d_minus = rank_one_defects(n)
+    e = np.eye(n, dtype=np.complex128)
+    first, last = e[0], e[n - 1]
+    np.testing.assert_array_equal(d_plus, np.outer(last + first, last - first))
+    np.testing.assert_array_equal(d_minus, np.outer(last - first, last + first))
+
+
 def test_defects_annihilate_parity_parts_exactly():
     rng = np.random.default_rng(92)
     for n in (2, 3, 8, 16):
