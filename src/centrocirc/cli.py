@@ -14,12 +14,16 @@ is read as an option.  A list holds at most 1024 coefficients.  Sizes,
 ranges and the seed are written in the ASCII digits 0-9 only; a tolerance
 or a coefficient is ASCII only and has no ``_``.
 
-Formats: ``pretty`` (default), ``json``, ``csv``.  JSON reports follow the
-schema ``{"command", "n", "status", "metrics": [{"name", "value", "bound"}],
-"payload": {"rows", "cols", "entries": [[re, im], ...]}}``; verify reports
-additionally carry ``"seed"`` and ``"n_range"``.  A metric value that is
-not finite is written as ``null`` and fails.  Complex numbers are
-``[re, im]`` pairs in JSON and ``re+imi`` strings in CSV.
+Formats: ``pretty`` (default), ``json``, ``csv``.  JSON reports have the keys
+``command, n, n_range, seed, status, metrics, payload`` in that order, with
+``metrics`` a list of ``{"name", "value", "bound"}`` and ``payload``
+``{"rows", "cols", "entries": [[re, im], ...]}``; only verify reports carry
+``n_range`` and ``seed``, and only show and spectrum reports a ``payload``.
+CSV reports lead with the same fields, in the same order, as ``key,value``
+lines.  A report's status is pass exactly when every metric is within its
+bound, so a report with no metrics passes; a metric value that is not
+finite is written as ``null`` and fails.  Complex numbers are ``[re, im]``
+pairs in JSON and ``re+imi`` strings in CSV.
 
 A spectrum's metric is ``max_k |sqrt(n) * (c . v_k) - lambda_k|`` over the unit
 eigenvectors v_k (columns of F* or H*), which equals the eigenpair residual
@@ -79,24 +83,31 @@ class UsageError(ValueError):
     """Bad command-line arguments; maps to exit code 2."""
 
 
+# the leading fields of a JSON or CSV report, in order; a None one is left out
+_HEADER_FIELDS = ("command", "n", "n_range", "seed", "status")
+
+
 @dataclass(eq=False)
 class CommandReport:
     command: str
     n: int
-    status: str
     metrics: list[Metric] = field(default_factory=list)
     # the 2-D result: a shown matrix, or a spectrum as one column
     matrix: np.ndarray | None = None
     seed: int | None = None
     n_range: str | None = None
 
+    @property
+    def status(self) -> str:
+        # every metric within its bound (a NaN value is not); no metrics pass
+        return "pass" if all(m.ok for m in self.metrics) else "fail"
+
+    def _header(self) -> list[tuple[str, object]]:
+        return [(key, value) for key in _HEADER_FIELDS
+                if (value := getattr(self, key)) is not None]
+
     def to_dict(self) -> dict:
-        out: dict = {"command": self.command, "n": self.n}
-        if self.n_range is not None:
-            out["n_range"] = self.n_range
-        if self.seed is not None:
-            out["seed"] = self.seed
-        out["status"] = self.status
+        out = dict(self._header())
         # a NaN or infinite value (only a library defect makes one) is null:
         # the JSON stays standard, and the metric still fails its bound
         out["metrics"] = [
@@ -115,10 +126,6 @@ class CommandReport:
 
 def format_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
-def _status(metrics: list[Metric]) -> str:
-    return "pass" if all(m.ok for m in metrics) else "fail"
 
 
 def _require_ascii(text: str, what: str) -> None:
@@ -209,10 +216,7 @@ def cmd_show(kind: str, size_text: str) -> CommandReport:
         "h": lambda: make_fourier_pack(n).h_star,
         "shift": lambda: lower_shift_dense(n),
     }
-    return CommandReport(
-        command=f"show {kind}", n=n, status="pass",
-        matrix=builders[kind](),
-    )
+    return CommandReport(command=f"show {kind}", n=n, matrix=builders[kind]())
 
 
 def cmd_spectrum(kind: str, arg: str, tol_text: str) -> CommandReport:
@@ -247,10 +251,10 @@ def cmd_spectrum(kind: str, arg: str, tol_text: str) -> CommandReport:
         raise UsageError(f"the residual bound overflows (tolerance {tol!r}, n = {n}, "
                          f"coefficient norm {coeff_norm!r})")
     residual = np.sqrt(n) * (row @ fourier_star_dense(n)) - values
-    metrics = [Metric("max_eigenpair_residual", float(np.max(np.abs(residual))), bound)]
     return CommandReport(
-        command=f"spectrum {kind}", n=n, status=_status(metrics),
-        metrics=metrics, matrix=values[:, None],
+        command=f"spectrum {kind}", n=n,
+        metrics=[Metric("max_eigenpair_residual", float(np.max(np.abs(residual))), bound)],
+        matrix=values[:, None],
     )
 
 
@@ -258,10 +262,10 @@ def cmd_verify(suite: str, range_text: str, seed_text: str,
                tol_text: str) -> CommandReport:
     lo, hi = _parse_range(range_text)
     seed = _parse_digits(seed_text, "seed")
-    metrics = run_suite(suite, lo, hi, seed, relation_tol=_parse_tol(tol_text))
     return CommandReport(
-        command=f"verify {suite}", n=hi, status=_status(metrics),
-        metrics=metrics, seed=seed, n_range=f"{lo}..{hi}",
+        command=f"verify {suite}", n=hi,
+        metrics=run_suite(suite, lo, hi, seed, relation_tol=_parse_tol(tol_text)),
+        seed=seed, n_range=f"{lo}..{hi}",
     )
 
 
@@ -274,12 +278,7 @@ def render_report(report: CommandReport, fmt: str) -> str:
 
 
 def _render_csv(report: CommandReport) -> str:
-    lines = [f"command,{report.command}", f"n,{report.n}"]
-    if report.n_range is not None:
-        lines.append(f"n_range,{report.n_range}")
-    if report.seed is not None:
-        lines.append(f"seed,{report.seed}")
-    lines.append(f"status,{report.status}")
+    lines = [f"{key},{value}" for key, value in report._header()]
     for m in report.metrics:
         lines.append(f"metric,{m.name},{m.value!r},{m.bound!r}")
     if report.matrix is not None:

@@ -138,18 +138,6 @@ def rank_one_defects(n: int) -> tuple[np.ndarray, np.ndarray]:
             r - scirc_dense(eta_minus_etat_coeffs(n)))
 
 
-def _apply_defects(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (D_plus @ even, D_minus @ odd) along the last axis, from the rank-one
-    # forms D_plus y = (e_n + e_1)(y_n - y_1), D_minus y = (e_n - e_1)(y_n + y_1):
-    # O(n) per vector, no dense defect
-    d_plus_even = np.zeros_like(even)
-    d_plus_even[..., 0] = d_plus_even[..., -1] = even[..., -1] - even[..., 0]
-    d_minus_odd = np.zeros_like(odd)
-    d_minus_odd[..., -1] = odd[..., -1] + odd[..., 0]
-    d_minus_odd[..., 0] = -d_minus_odd[..., -1]
-    return d_plus_even, d_minus_odd
-
-
 def restriction_spectra(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the two restrictions of R_n.
 

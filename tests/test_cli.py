@@ -118,8 +118,7 @@ def _pair_render(report, payload, fmt):
     """The three formats of a report rendered from its [re, im] pair payload."""
     if fmt == "json":
         return json.dumps({**report.to_dict(), "payload": payload}, indent=2)
-    head = render_report(CommandReport(report.command, report.n, report.status,
-                                       report.metrics), fmt)
+    head = render_report(CommandReport(report.command, report.n, report.metrics), fmt)
     if fmt == "csv":
         lines = [f"payload,{payload['rows']},{payload['cols']}"]
         lines += [",".join(row) for row in _pair_rows(payload, format_complex)]
@@ -152,7 +151,7 @@ def _matrices(draw):
 def test_rendered_matrix_matches_pair_payload(m):
     # the report keeps the array and renders it directly; every format must
     # print what the [re, im] pair layout decoded back into rows prints
-    report = CommandReport(command="show x", n=m.shape[0], status="pass",
+    report = CommandReport(command="show x", n=m.shape[0],
                            metrics=[Metric("m", 0.5, 1.0)], matrix=m)
     payload = _pair_payload(m[:, 0] if m.shape[1] == 1 else m)
     # json.dumps tells -0.0 from 0.0 and 1 from 1.0; == does not
@@ -427,6 +426,55 @@ def test_verify_json_schema_and_exit(capsys):
     assert report["status"] == "pass"
 
 
+# (metrics, the status they make): a report derives its status from them
+_STATUS_CASES = [
+    pytest.param([], "pass", id="no-metrics"),
+    pytest.param([Metric("a", 1.0, 1.0), Metric("b", 0.0, 0.0)], "pass", id="at-bound"),
+    pytest.param([Metric("a", 0.5, 1.0), Metric("b", float(np.nextafter(1.0, 2.0)), 1.0)],
+                 "fail", id="above-bound"),
+    pytest.param([Metric("a", 0.5, 1.0), Metric("b", float("nan"), 1.0)], "fail",
+                 id="nan"),
+]
+
+
+@pytest.mark.parametrize("metrics,status", _STATUS_CASES)
+def test_status_and_exit_code_follow_the_metrics(capsys, monkeypatch, metrics, status):
+    report = CommandReport(command="show x", n=2, metrics=metrics)
+    assert report.status == status
+    monkeypatch.setattr(cli, "cmd_show", lambda kind, n: report)
+    expected_code = 0 if status == "pass" else 1
+    outputs = {}
+    for fmt in ("pretty", "json", "csv"):
+        code, outputs[fmt], err = run_cli(capsys, "show", "r", "2", "--format", fmt)
+        assert (code, err) == (expected_code, "")
+    assert outputs["pretty"].splitlines()[1] == f"status: {status}"
+    assert strict_json(outputs["json"])["status"] == status
+    assert outputs["csv"].splitlines()[2] == f"status,{status}"
+
+
+def _leading_fields(report):
+    # the (key, value) pairs before the metrics, from a JSON report
+    return [(key, value) for key, value in report.items()
+            if key not in ("metrics", "payload")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "r", "7"],
+    ["spectrum", "r-odd", "8"],
+    ["verify", "unitary", "2..3", "--seed", "4"],
+], ids=" ".join)
+def test_csv_leads_with_the_json_fields_in_order(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    fields = _leading_fields(strict_json(out))
+    assert [key for key, _ in fields][-1] == "status"
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()[:len(fields) + 1]
+    assert lines[:-1] == [f"{key},{value}" for key, value in fields]
+    assert lines[-1].startswith(("metric,", "payload,"))
+
+
 def test_verify_repeated_runs_byte_identical(capsys):
     argv = ("verify", "relation", "2..10", "--seed", "31337", "--format", "json")
     code_a, out_a, _ = run_cli(capsys, *argv)
@@ -506,7 +554,6 @@ def _parent_spectrum_report(kind, arg, tol=1e-10):
         assert all(0.1 <= check / residual <= 10.0 for check in checks)
     metrics = [Metric("max_eigenpair_residual", residual, bound)]
     return CommandReport(command=f"spectrum {kind}", n=n,
-                         status="pass" if metrics[0].ok else "fail",
                          metrics=metrics, matrix=values[:, None])
 
 
