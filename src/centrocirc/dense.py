@@ -12,17 +12,19 @@ convention); arrays are 0-based, so entry (i, j) of a formula lives at
 from __future__ import annotations
 
 import operator
-import warnings
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a pivot is zero to tolerance during an LU solve."""
+    """Raised when an LU solve finds A singular to tolerance.
+
+    That is an exactly zero pivot, or a solution z of A z = w large enough
+    to show ``||A^-1|| >= ||z|| / ||w|| > 1 / (1e-10 * max(1, ||A||_F))``.
+    """
 
 
-# absolute and relative tolerance of the predicates and the pivot floor
+# absolute and relative tolerance of the predicates and the singularity floor
 _ABS_EPS = 1e-10
 _REL_EPS = 1e-10
 
@@ -92,20 +94,27 @@ def is_unitary(u) -> bool:
 
 
 def solve_dense(a, w) -> np.ndarray:
-    """Solve A z = w by LU with partial pivoting.
+    """Solve A z = w by LU with partial pivoting (LAPACK ``gesv``).
 
-    Raises SingularMatrixError when some pivot falls below
-    ``1e-10 * max(1, ||A||_F)``.
+    Raises SingularMatrixError when a pivot is exactly zero, or when
+    ``||z|| * 1e-10 * max(1, ||A||_F) <= ||w||`` fails.  Since
+    ``||A^-1|| >= ||z|| / ||w||``, that failure shows ``||A^-1||`` above
+    ``1 / (1e-10 * max(1, ||A||_F))``.  A norm whose squares overflow reads
+    inf, so a NaN z always fails and an infinite z fails unless ``||w||``
+    overflows too.  With w = 0 the solution is z = 0, which solves
+    A z = 0 for every A, so only an exactly zero pivot raises.
     """
     a = _require_square(as_matrix(a))
     w = as_vector(w)
     if a.shape[1] != w.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {w.shape}")
-    with warnings.catch_warnings():
-        # singularity is reported through the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivot_floor = _ABS_EPS * max(1.0, float(np.linalg.norm(a)))
-    if np.min(np.abs(np.diag(lu))) <= pivot_floor:
-        raise SingularMatrixError("matrix is singular to tolerance")
-    return scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
+    try:
+        z = np.linalg.solve(a, w)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is singular") from None
+    floor = _ABS_EPS * max(1.0, float(np.linalg.norm(a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing norm reads inf and 0 * inf is NaN; the test below still decides
+        if not np.linalg.norm(z) * floor <= np.linalg.norm(w):
+            raise SingularMatrixError("matrix is singular to tolerance")
+    return z

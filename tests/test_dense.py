@@ -84,6 +84,40 @@ def test_solve_dense_pivot_floor_scales_with_matrix():
     np.testing.assert_allclose(solve_dense(a, w), 1e8 * np.ones(4), rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 65))
+def test_solve_dense_raises_on_rank_deficient_products(n):
+    # u @ v has rank n - 1, but its LU pivots are round-off, not exact zeros
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1))
+    v = rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with pytest.raises(SingularMatrixError):
+        solve_dense(u @ v, w)
+
+
+def test_solve_dense_raises_on_tiny_scale_without_warning():
+    # z = 1e300 w: its norm overflows when squared, which must neither warn
+    # (tier-1 turns RuntimeWarnings into errors) nor pass
+    with pytest.raises(SingularMatrixError):
+        solve_dense(1e-300 * np.eye(4), np.ones(4))
+
+
+def test_solve_dense_solves_large_scale():
+    z = solve_dense(1e8 * np.eye(4), np.ones(4))
+    np.testing.assert_allclose(z, 1e-8 * np.ones(4), rtol=1e-12)
+    # ||w|| overflows when squared: no warning, and the solve stands
+    w = np.full(4, 1e200)
+    np.testing.assert_array_equal(solve_dense(np.eye(4), w), w)
+
+
+def test_solve_dense_zero_right_hand_side():
+    # z = 0 solves A z = 0 for every A: only an exactly zero pivot raises
+    zero = np.zeros(4)
+    np.testing.assert_array_equal(solve_dense(1e-300 * np.eye(4), zero), zero)
+    with pytest.raises(SingularMatrixError):
+        solve_dense(np.zeros((4, 4)), zero)
+
+
 def test_solve_dense_shape_mismatch():
     with pytest.raises(ValueError):
         solve_dense(np.eye(3), np.ones(4))

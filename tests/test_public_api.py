@@ -3,6 +3,8 @@ benchmark's per-layer rows count, and how its result types compare."""
 
 import inspect
 import json
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -29,7 +31,8 @@ PUBLIC_NAMES = [
     "solve_dense", "verify_nilpotent",
 ]
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def test_public_names_are_pinned():
@@ -74,3 +77,27 @@ def test_array_results_compare_and_hash_by_identity(name):
     assert (x == y) is False
     assert x != y
     assert len({x, y}) == 2
+
+
+def test_package_and_commands_import_no_scipy():
+    # numpy is the one runtime dependency: import, show, spectrum and a
+    # verify run that solves leave scipy unloaded
+    script = """
+import contextlib, io, sys
+import centrocirc, centrocirc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["show", "r", "7"], ["spectrum", "r-odd", "8"], ["verify", "all", "2..4"]):
+        assert centrocirc.cli.main(argv) == 0, argv
+print("scipy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_no_source_file_mentions_scipy():
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    assert sources
+    for path in sources:
+        assert "scipy" not in path.read_text().lower(), path

@@ -159,6 +159,15 @@ def _nan_split(x):
     return EvenOddSplit(even=_nan_first(split.even), odd=split.odd)
 
 
+def _odd_half_not_antipalindromic(x):
+    # the even half kept; the odd half's first entry negated, so o_n + o_1
+    # becomes 2 o_n: only the odd-half defect term can see it
+    split = even_odd_split(x)
+    odd = np.array(split.odd)
+    odd[..., 0] *= -1
+    return EvenOddSplit(even=split.even, odd=odd)
+
+
 def _perturbed_relation_product(r, x):
     return r_apply_via_relation(r, x) * (1 + 1e-6)
 
@@ -206,7 +215,9 @@ def test_relation_metric_rejects_bad_relation_product(monkeypatch, bad, n):
     assert not _metric(metrics, "max_relation_residual_over_n_normx").ok
 
 
-@pytest.mark.parametrize("bad,n", _wrong_and_nan(_swapped_split, _nan_split))
+@pytest.mark.parametrize("bad,n", _wrong_and_nan(_swapped_split, _nan_split)
+                         + [pytest.param(_odd_half_not_antipalindromic, n, id=f"odd-{n}")
+                            for n in VERIFY_SIZES])
 def test_defect_metric_rejects_swapped_split(monkeypatch, bad, n):
     monkeypatch.setattr(verify, "even_odd_split", bad)
     metrics = relation_suite(n, n, np.random.default_rng(n))
