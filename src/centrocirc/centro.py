@@ -16,6 +16,7 @@ import numpy as np
 from .dense import (
     _ABS_EPS,
     _REL_EPS,
+    _norm,
     _require_size,
     _require_square,
     as_matrix,
@@ -219,8 +220,8 @@ def reflect_eigenpair(k, pair: EigenPair) -> EigenPair:
     if not is_centro_skew(k):
         raise NotCentroSkewError("matrix is not centro-skew to tolerance")
     z = as_vector(pair.vector)
-    residual = float(np.linalg.norm(k @ z - pair.value * z))
-    bound = _ABS_EPS + _REL_EPS * float(np.linalg.norm(k)) * float(np.linalg.norm(z))
+    residual = _norm(k @ z - pair.value * z)
+    bound = _ABS_EPS + _REL_EPS * _norm(k) * _norm(z)
     if residual > bound:
         raise ValueError(
             f"input eigenpair residual {residual:.3e} exceeds tolerance {bound:.3e}"

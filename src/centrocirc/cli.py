@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Grammar::
+``centrocirc`` and ``python -m centrocirc`` both run ``main``, which prints
+the report and returns the exit code.  Grammar::
 
     centrocirc show {r,pi,eta,exchange,fourier,h,shift} N [--format F]
     centrocirc spectrum {circ,scirc} C1,C2,...   [--format F] [--tol X]
@@ -62,6 +63,7 @@ from .circulant import (
     scirc_spectrum,
 )
 from .centro import exchange_dense
+from .dense import _norm
 from .relation import (
     SpecialTridiag,
     eta_minus_etat_coeffs,
@@ -190,17 +192,12 @@ def _parse_size(text: str, lo: int, hi: int) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
-    if not match:
+    bounds = text.split("..")
+    if len(bounds) != 2:
         raise UsageError(f"range must look like 2..16, got {text!r}")
-    lo, hi = (_parse_digits(bound, "range bound") for bound in match.groups())
+    lo, hi = (_parse_size(bound, VERIFY_N_MIN, VERIFY_N_MAX) for bound in bounds)
     if lo > hi:
         raise UsageError(f"empty range {text!r}")
-    if lo < VERIFY_N_MIN or hi > VERIFY_N_MAX:
-        raise UsageError(
-            f"range {text!r} outside the supported window "
-            f"{VERIFY_N_MIN}..{VERIFY_N_MAX}"
-        )
     return lo, hi
 
 
@@ -221,25 +218,20 @@ def cmd_show(kind: str, size_text: str) -> CommandReport:
 
 def cmd_spectrum(kind: str, arg: str, tol_text: str) -> CommandReport:
     tol = _parse_tol(tol_text)
-    if kind == "circ":
-        matrix = Circulant(_parse_coeffs(arg))
-    elif kind == "scirc":
-        matrix = SkewCirculant(_parse_coeffs(arg))
-    elif kind == "r-even":
-        matrix = pi_minus_pit_coeffs(_parse_size(arg, 2, SHOW_N_MAX))
+    if kind in ("circ", "scirc"):
+        coeffs = _parse_coeffs(arg)
+        matrix = Circulant(coeffs) if kind == "circ" else SkewCirculant(coeffs)
     else:
-        matrix = eta_minus_etat_coeffs(_parse_size(arg, 2, SHOW_N_MAX))
+        n = _parse_size(arg, 2, SHOW_N_MAX)
+        matrix = pi_minus_pit_coeffs(n) if kind == "r-even" else eta_minus_etat_coeffs(n)
     n = matrix.n
     # column k of F* (circulant) or H* (skew) is a unit eigenvector with the
     # defining sum sqrt(n) * (c . column k) as eigenvalue; checking the FFT
     # values against it is O(n^2) and equals ||A v_k - lambda_k v_k||.  For
     # the skew kinds c . H*_k = (sigma o c) . F*_k, so the twist goes on c
+    coeff_norm = _norm(matrix.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
         # finite input can still overflow here; that is rejected just below
-        coeff_norm = float(np.linalg.norm(matrix.coeffs))
-        if not math.isfinite(coeff_norm):
-            # the squares overflow before the norm does; hypot rescales by the largest |c_k|
-            coeff_norm = math.hypot(*np.abs(matrix.coeffs).tolist())
         if isinstance(matrix, Circulant):
             values, row = circ_spectrum(matrix), matrix.coeffs
         else:
@@ -351,12 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(argv) -> tuple[str | None, int]:
-    """The rendered report (None when there is none) and the exit code."""
+def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when argv is None), print its
+    report and return the exit code."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return None, 2 if exc.code is None else int(exc.code)
+        return 2 if exc.code is None else int(exc.code)
     try:
         if args.command == "show":
             report = cmd_show(args.kind, args.n)
@@ -366,25 +359,13 @@ def _run(argv) -> tuple[str | None, int]:
             report = cmd_verify(args.suite, args.range, args.seed, args.tol)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None, 2
-    return render_report(report, args.format), 0 if report.status == "pass" else 1
-
-
-def main(argv=None) -> int:
-    text, code = _run(argv)
-    if text is not None:
-        print(text)
-    return code
-
-
-def entry_point() -> None:
-    text, code = _run(None)
+        return 2
+    text = render_report(report, args.format)
     try:
-        if text is not None:
-            print(text)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early: point it at devnull so the flush at
         # shutdown cannot raise again, then exit with the report's own code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    return 0 if report.status == "pass" else 1

@@ -11,6 +11,7 @@ convention); arrays are 0-based, so entry (i, j) of a formula lives at
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -82,6 +83,17 @@ def _require_length(x, n: int) -> np.ndarray:
     return x
 
 
+def _norm(x: np.ndarray) -> float:
+    # the 2-norm (Frobenius for a matrix) that overflows only when the norm
+    # itself does: hypot rescales by the largest modulus, where the plain
+    # norm's squares overflow first
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if math.isinf(norm):
+        norm = math.hypot(*np.abs(x).ravel().tolist())
+    return norm
+
+
 def _unitary_defect(u: np.ndarray) -> float:
     # ||U U* - I||_F for an already checked square matrix
     return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
@@ -99,9 +111,9 @@ def solve_dense(a, w) -> np.ndarray:
     Raises SingularMatrixError when a pivot is exactly zero, or when
     ``||z|| * 1e-10 * max(1, ||A||_F) <= ||w||`` fails.  Since
     ``||A^-1|| >= ||z|| / ||w||``, that failure shows ``||A^-1||`` above
-    ``1 / (1e-10 * max(1, ||A||_F))``.  A norm whose squares overflow reads
-    inf, so a NaN z always fails and an infinite z fails unless ``||w||``
-    overflows too.  With w = 0 the solution is z = 0, which solves
+    ``1 / (1e-10 * max(1, ||A||_F))``.  The norms overflow only when their
+    value does, so a NaN z always fails and an infinite z fails unless
+    ``||w||`` is infinite too.  With w = 0 the solution is z = 0, which solves
     A z = 0 for every A, so only an exactly zero pivot raises.
     """
     a = _require_square(as_matrix(a))
@@ -112,9 +124,8 @@ def solve_dense(a, w) -> np.ndarray:
         z = np.linalg.solve(a, w)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is singular") from None
-    floor = _ABS_EPS * max(1.0, float(np.linalg.norm(a)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an overflowing norm reads inf and 0 * inf is NaN; the test below still decides
-        if not np.linalg.norm(z) * floor <= np.linalg.norm(w):
-            raise SingularMatrixError("matrix is singular to tolerance")
+    # Python floats: an infinite product or 0 * inf (NaN) warns nowhere, and
+    # the comparison still decides
+    if not _norm(z) * (_ABS_EPS * max(1.0, _norm(a))) <= _norm(w):
+        raise SingularMatrixError("matrix is singular to tolerance")
     return z

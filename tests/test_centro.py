@@ -231,6 +231,18 @@ def test_reflect_eigenpair_rejects_bad_inputs():
         reflect_eigenpair(k, EigenPair(value=5.0, vector=np.ones(4)))
 
 
+def test_reflect_eigenpair_decides_where_norms_overflow_when_squared():
+    # at scale 1e160 the residual, ||K|| and the bound all overflow when
+    # squared; a wrong pair must still be rejected and the true one kept
+    k = 1e160 * circ_dense(pi_minus_pit_coeffs(6))
+    ones = np.ones(6) / np.sqrt(6)
+    with pytest.raises(ValueError, match="exceeds tolerance"):
+        reflect_eigenpair(k, EigenPair(value=5e160, vector=ones))
+    flipped = reflect_eigenpair(k, EigenPair(value=0.0, vector=ones))
+    assert flipped.value == 0.0
+    np.testing.assert_array_equal(flipped.vector, ones)
+
+
 STACKED_CENTRO_KERNELS = {
     "even_odd_split": (lambda x: astuple(even_odd_split(x)), 1),
     "centro_split": (lambda x: astuple(centro_split(x)), 2),

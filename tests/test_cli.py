@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,13 +494,25 @@ def test_verify_zero_tolerance_fails_with_exit_1(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "centrocirc", "show", "shift", "3"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("show shift")
+    # a failed report's code reaches the shell too, through sys.exit(main())
+    for argv, code in ((("show", "shift", "3"), 0),
+                       (("spectrum", "circ", "0,1,0,0", "--tol", "0"), 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "centrocirc", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code
+        assert proc.stdout.startswith(" ".join(argv[:2]))
+        assert proc.stderr == ""
+
+
+def test_console_script_runs_main():
+    # the console-script wrapper calls sys.exit on main's return value
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"centrocirc": "centrocirc.cli:main"}
 
 
 def test_closed_stdout_exits_with_report_code_and_no_traceback():

@@ -108,6 +108,10 @@ def test_solve_dense_solves_large_scale():
     # ||w|| overflows when squared: no warning, and the solve stands
     w = np.full(4, 1e200)
     np.testing.assert_array_equal(solve_dense(np.eye(4), w), w)
+    # ||A||_F overflows and ||z|| underflows when squared: the norms rescale,
+    # so this perfectly conditioned A solves, with no warning
+    z = solve_dense(1e200 * np.eye(2), np.ones(2))
+    np.testing.assert_allclose(z, np.full(2, 1e-200), rtol=1e-15)
 
 
 def test_solve_dense_zero_right_hand_side():
