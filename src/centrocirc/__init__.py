@@ -10,7 +10,7 @@ circulant types with analytic spectra, the even/odd projection calculus,
 and seeded verification suites (also reachable via the ``centrocirc`` CLI).
 """
 
-from .dense import SingularMatrixError, is_unitary, solve_dense
+from .dense import SingularMatrixError, solve_dense
 from .fourier import (
     FourierPack,
     fourier_star_dense,

@@ -42,11 +42,6 @@ def exchange_dense(n: int) -> np.ndarray:
 _ROOT_HALF = 1.0 / np.sqrt(2.0)
 
 
-def _flip_conjugate(x: np.ndarray) -> np.ndarray:
-    # E X E reverses both the row and the column order
-    return x[..., ::-1, ::-1]
-
-
 @dataclass(frozen=True, eq=False)
 class EvenOddSplit:
     """x = even + odd with E even = even and E odd = -odd."""
@@ -64,7 +59,7 @@ def _half(x: np.ndarray, odd: bool, matrix: bool = False) -> np.ndarray:
     # one half of the split by index reversal, for an already checked stack:
     # (y + flip y) / 2, or with odd (y - flip y) / 2; flip reverses the last
     # axis, or with matrix the last two (E X E)
-    fx = _flip_conjugate(x) if matrix else x[..., ::-1]
+    fx = x[..., ::-1, ::-1] if matrix else x[..., ::-1]
     return (x - fx if odd else x + fx) / 2
 
 
@@ -92,19 +87,20 @@ def _split_centro(x: np.ndarray) -> CentroSplit:
                        skew=_half(x, odd=True, matrix=True))
 
 
-def _entrywise_tol(x: np.ndarray) -> float:
-    # scale-invariant classification threshold
-    return _ABS_EPS + _REL_EPS * float(np.max(np.abs(x), initial=0.0))
+def _is_centro(x: np.ndarray, skew: bool) -> bool:
+    # E X E = X, or with skew E X E = -X, for an already checked square
+    # matrix: max |X -+ E X E| <= 1e-10 + 1e-10 * max |X|, scale-invariant
+    fx = x[..., ::-1, ::-1]
+    defect = np.max(np.abs(x + fx if skew else x - fx))
+    return bool(defect <= _ABS_EPS + _REL_EPS * float(np.max(np.abs(x), initial=0.0)))
 
 
 def is_centro_symmetric(x) -> bool:
-    x = _require_square(as_matrix(x))
-    return bool(np.max(np.abs(x - _flip_conjugate(x))) <= _entrywise_tol(x))
+    return _is_centro(_require_square(as_matrix(x)), skew=False)
 
 
 def is_centro_skew(x) -> bool:
-    x = _require_square(as_matrix(x))
-    return bool(np.max(np.abs(x + _flip_conjugate(x))) <= _entrywise_tol(x))
+    return _is_centro(_require_square(as_matrix(x)), skew=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,15 +133,14 @@ def even_odd_basis(n: int) -> EvenOddBasis:
     return EvenOddBasis(p_cols=p, q_cols=q)
 
 
-def _fold_half(x: np.ndarray, odd: bool, axis: int = -1) -> np.ndarray:
-    """P* x along ``axis``, or with ``odd`` Q* x, by pairing each entry with
-    its mirror.
+def _fold_half(x: np.ndarray, odd: bool) -> np.ndarray:
+    """P* x along the last axis, or with ``odd`` Q* x, by pairing each entry
+    with its mirror.
 
     Entry k of P* x is (x_k + x_{n+1-k}) / sqrt(2), closed by the middle
     entry when n is odd; entry k of Q* x is (x_k - x_{n+1-k}) / sqrt(2).
     O(n) per vector, and neither P nor Q is ever built.
     """
-    x = np.moveaxis(x, axis, -1)
     half = x.shape[-1] // 2
     top, mirror = x[..., :half], x[..., ::-1][..., :half]
     if odd:
@@ -154,12 +149,19 @@ def _fold_half(x: np.ndarray, odd: bool, axis: int = -1) -> np.ndarray:
         out = (top + mirror) * _ROOT_HALF
         if x.shape[-1] % 2:
             out = np.concatenate([out, x[..., half:half + 1]], axis=-1)
-    return np.moveaxis(out, -1, axis)
+    return out
 
 
-def _fold(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    # (P* x, Q* x) along axis
-    return _fold_half(x, odd=False, axis=axis), _fold_half(x, odd=True, axis=axis)
+def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (P* x, Q* x) along the last axis
+    return _fold_half(x, odd=False), _fold_half(x, odd=True)
+
+
+def _fold_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (P* X, Q* X) on the last two axes: P and Q are real, so P* X = (X^T P)^T,
+    # the fold of the transposed rows transposed back
+    even, odd = _fold(x.swapaxes(-1, -2))
+    return even.swapaxes(-1, -2), odd.swapaxes(-1, -2)
 
 
 def _unfold(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -173,7 +175,7 @@ def _unfold(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
 
 def _block_pair(x: np.ndarray, diagonal: bool):
     # only two of the four blocks: (P*XP, Q*XQ) if diagonal, else (P*XQ, Q*XP)
-    rows_even, rows_odd = _fold(x, axis=-2)
+    rows_even, rows_odd = _fold_rows(x)
     return _fold_half(rows_even, odd=not diagonal), _fold_half(rows_odd, odd=diagonal)
 
 
@@ -184,8 +186,9 @@ def block_form(x):
     The blocks come from the O(n^2) fold, not from P and Q.
     """
     x = _require_square(as_matrix(x, stacked=True))
-    # fold the rows, then the columns of each half: P is real, so X P = (P* X^T)^T
-    rows_even, rows_odd = _fold(x, axis=-2)
+    # fold the rows, then the columns of each half: (P* X) P is the
+    # last-axis fold of P* X
+    rows_even, rows_odd = _fold_rows(x)
     return _fold(rows_even) + _fold(rows_odd)
 
 
@@ -198,7 +201,7 @@ def solve_centro_symmetric(a, w) -> np.ndarray:
     """
     a = as_matrix(a)
     w = as_vector(w)
-    if not is_centro_symmetric(a):
+    if not _is_centro(_require_square(a), skew=False):
         raise NotCentroSymmetricError("matrix is not centro-symmetric to tolerance")
     if a.shape[0] != w.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {w.shape}")
@@ -216,8 +219,8 @@ def reflect_eigenpair(k, pair: EigenPair) -> EigenPair:
     The input residual ||Kz - lambda z|| must already be within tolerance;
     the reflected pair then satisfies the same bound.
     """
-    k = as_matrix(k)
-    if not is_centro_skew(k):
+    k = _require_square(as_matrix(k))
+    if not _is_centro(k, skew=True):
         raise NotCentroSkewError("matrix is not centro-skew to tolerance")
     z = as_vector(pair.vector)
     residual = _norm(k @ z - pair.value * z)

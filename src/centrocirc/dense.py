@@ -25,7 +25,7 @@ class SingularMatrixError(ValueError):
     """
 
 
-# absolute and relative tolerance of the predicates and the singularity floor
+# absolute and relative tolerance of the centro predicates and the singularity floor
 _ABS_EPS = 1e-10
 _REL_EPS = 1e-10
 
@@ -97,12 +97,6 @@ def _norm(x: np.ndarray) -> float:
 def _unitary_defect(u: np.ndarray) -> float:
     # ||U U* - I||_F for an already checked square matrix
     return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
-
-
-def is_unitary(u) -> bool:
-    """True when ||U U* - I||_F <= 1e-10 + 1e-10 * n."""
-    u = _require_square(as_matrix(u))
-    return _unitary_defect(u) <= _ABS_EPS + _REL_EPS * u.shape[0]
 
 
 def solve_dense(a, w) -> np.ndarray:

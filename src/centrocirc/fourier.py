@@ -59,7 +59,6 @@ def fourier_star_dense(n: int) -> np.ndarray:
 class FourierPack:
     """The dense transform matrices F* and H* for one size n."""
 
-    n: int
     f_star: np.ndarray
     h_star: np.ndarray
 
@@ -67,4 +66,4 @@ class FourierPack:
 def make_fourier_pack(n: int) -> FourierPack:
     """F* and the one definition of H* = Diag(sigma**j) @ F*."""
     f_star = fourier_star_dense(n)
-    return FourierPack(n=n, f_star=f_star, h_star=sigma_powers(n)[:, None] * f_star)
+    return FourierPack(f_star=f_star, h_star=sigma_powers(n)[:, None] * f_star)

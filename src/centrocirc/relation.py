@@ -57,18 +57,16 @@ class SpecialTridiag:
 
 
 def r_dense(r: SpecialTridiag) -> np.ndarray:
-    n = r.n
-    out = np.zeros((n, n), dtype=np.complex128)
-    idx = np.arange(n - 1)
-    out[idx + 1, idx] = -1.0
-    out[idx, idx + 1] = 1.0
+    """R_n = Z^T - Z - e1 e1^T + en en^T from the lower shift Z."""
+    z = lower_shift_dense(r.n)
+    out = z.T - z
     out[0, 0] = -1.0
-    out[n - 1, n - 1] = 1.0
+    out[-1, -1] = 1.0
     return out
 
 
 def lower_shift_dense(n: int) -> np.ndarray:
-    """Ones on the subdiagonal only; the building block of the identities
+    """Ones on the subdiagonal only: the shift Z behind ``r_dense``'s
     R = Z^T - Z - e1 e1^T + en en^T and its circulant analogues."""
     n = _require_size(n, 1)
     out = np.zeros((n, n), dtype=np.complex128)

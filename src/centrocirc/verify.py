@@ -64,22 +64,20 @@ _Residuals = Iterator[tuple[str, "np.ndarray | float", float]]
 
 def _reduced(suite):
     # the suite's metrics: for each name, in first-yield order, the largest
-    # residual; a NaN, once seen, stays, where max(0.0, nan) would drop it
+    # residual; np.max and np.maximum keep a NaN from either side, where
+    # max(0.0, nan) would drop it
     @functools.wraps(suite)
     def reduced(n_lo: int, n_hi: int, *args, **kwargs) -> list[Metric]:
         if n_lo > n_hi:
             raise ValueError(f"empty size range {n_lo}..{n_hi}")
         worst: dict[str, tuple[float, float]] = {}
         for name, residuals, bound in suite(n_lo, n_hi, *args, **kwargs):
-            if isinstance(residuals, np.ndarray):
-                residuals = np.max(residuals)
-            value = float(residuals)
+            value = np.max(residuals)
             if name in worst:
-                previous = worst[name][0]
-                if math.isnan(previous) or previous > value:
-                    value = previous
+                value = np.maximum(value, worst[name][0])
             worst[name] = value, bound
-        return [Metric(name, value, bound) for name, (value, bound) in worst.items()]
+        return [Metric(name, float(value), bound)
+                for name, (value, bound) in worst.items()]
     return reduced
 
 

@@ -21,13 +21,13 @@ from centrocirc import (
     exchange_dense,
     is_centro_skew,
     is_centro_symmetric,
-    is_unitary,
     pi_minus_pit_coeffs,
     r_dense,
     reflect_eigenpair,
     solve_centro_symmetric,
     solve_dense,
 )
+from centrocirc.dense import _unitary_defect
 
 
 def complex_normal(rng, shape):
@@ -109,7 +109,7 @@ def test_even_odd_basis_shapes_and_orthogonality():
         assert basis.p_cols.shape == (n, r)
         assert basis.q_cols.shape == (n, n // 2)
         stacked = np.hstack([basis.p_cols, basis.q_cols])
-        assert is_unitary(stacked)
+        assert _unitary_defect(stacked) <= 1e-10 + 1e-10 * n
         # columns have the right parity
         for col in basis.p_cols.T:
             np.testing.assert_array_equal(col, col[::-1])
@@ -172,6 +172,62 @@ def test_block_form_matches_dense_basis_on_generic_input(shape):
     for block, oracle in zip(block_form(x), dense_blocks(x, basis)):
         assert block.shape == oracle.shape
         np.testing.assert_allclose(block, oracle, rtol=0, atol=1e-13)
+
+
+def signed_zero_rich(rng, shape):
+    # entries drawn from {+-0, +-1, +-0.5} in both parts: many mirror pairs
+    # cancel exactly, so the sign of each zero shows which operation ran
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+    x = np.empty(shape, dtype=np.complex128)
+    x.real = rng.choice(values, shape)
+    x.imag = rng.choice(values, shape)
+    return x
+
+
+def reference_halves(x, odd, rows):
+    # (x + flip x) / 2, or with odd (x - flip x) / 2; flip reverses the last
+    # axis, and with rows the rows too, sliced explicitly as [..., ::-1, :]
+    fx = x[..., ::-1, :][..., ::-1] if rows else x[..., ::-1]
+    return (x - fx if odd else x + fx) / 2
+
+
+ROOT_HALF = 1.0 / np.sqrt(2.0)
+
+
+def reference_fold(x, odd):
+    # P* X, or with odd Q* X, by explicit [..., :half, :] row slicing; on
+    # x[..., None] it folds the last axis of x, one-entry row by row
+    half = x.shape[-2] // 2
+    top, mirror = x[..., :half, :], x[..., ::-1, :][..., :half, :]
+    if odd:
+        return (top - mirror) * ROOT_HALF
+    out = (top + mirror) * ROOT_HALF
+    if x.shape[-2] % 2:
+        out = np.concatenate([out, x[..., half:half + 1, :]], axis=-2)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(n, n) for n in range(1, 10)] + [(4, 7, 7)])
+def test_centro_kernels_equal_the_two_sided_reference_bit_for_bit(shape):
+    # signed zeros included: the row fold must run the same elementwise
+    # operations as an explicit two-sided fold, not merely agree to round-off
+    rng = np.random.default_rng(400 + sum(shape))
+    for x in (signed_zero_rich(rng, shape), complex_normal(rng, shape)):
+        want = [reference_fold(reference_fold(x, row_odd)[..., None], col_odd)[..., 0]
+                for row_odd in (False, True) for col_odd in (False, True)]
+        for got, expected in zip(block_form(x), want, strict=True):
+            assert_same_bits(got, expected)
+        split = centro_split(x)
+        assert_same_bits(split.sym, reference_halves(x, odd=False, rows=True))
+        assert_same_bits(split.skew, reference_halves(x, odd=True, rows=True))
+        split = even_odd_split(x)
+        assert_same_bits(split.even, reference_halves(x, odd=False, rows=False))
+        assert_same_bits(split.odd, reference_halves(x, odd=True, rows=False))
 
 
 def test_solve_centro_symmetric_identity_and_exchange():

@@ -1,4 +1,4 @@
-"""Dense-core helpers: coercion, unitarity, LU solves."""
+"""Dense-core helpers: coercion and LU solves."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from centrocirc import (
     even_odd_basis,
     exchange_dense,
     fourier_star_dense,
-    is_unitary,
     lower_shift_dense,
     make_fourier_pack,
     nilpotent_realization,
@@ -46,14 +45,6 @@ def test_as_matrix_rejects_vector_and_nonfinite():
         as_matrix([1, 2, 3])
     with pytest.raises(ValueError):
         as_matrix([[1.0, float("nan")], [0.0, 1.0]])
-
-
-def test_is_unitary():
-    phase = np.exp(0.3j)
-    rot = phase * np.array([[0, 1], [-1, 0]], dtype=np.complex128)
-    assert is_unitary(rot)
-    assert not is_unitary(2 * np.eye(3))
-    assert not is_unitary(np.array([[1, 1], [0, 1]], dtype=np.complex128))
 
 
 def test_solve_dense_round_trip():

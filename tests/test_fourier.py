@@ -14,11 +14,11 @@ from centrocirc import (
     SkewCirculant,
     circ_matvec,
     fourier_star_dense,
-    is_unitary,
     make_fourier_pack,
     scirc_matvec,
     sigma_powers,
 )
+from centrocirc.dense import _unitary_defect
 from centrocirc.fourier import _omega_powers
 
 
@@ -79,8 +79,8 @@ def test_fourier_star_matches_naive(n):
 @pytest.mark.parametrize("n", range(1, 65))
 def test_transform_matrices_unitary(n):
     pack = make_fourier_pack(n)
-    assert is_unitary(pack.f_star)
-    assert is_unitary(pack.h_star)
+    for u in (pack.f_star, pack.h_star):
+        assert _unitary_defect(u) <= 1e-10 + 1e-10 * n
 
 
 def test_h_star_is_twisted_f_star():

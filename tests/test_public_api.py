@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "circ_dense", "circ_eigenpairs", "circ_matvec", "circ_mul", "circ_spectrum",
     "eta_minus_etat_coeffs", "even_odd_basis", "even_odd_split",
     "exchange_dense", "fourier_star_dense", "has_sign_pattern", "is_centro_skew",
-    "is_centro_symmetric", "is_unitary", "lower_shift_dense", "make_fourier_pack",
+    "is_centro_symmetric", "lower_shift_dense", "make_fourier_pack",
     "nilpotent_realization", "nilpotent_scaling",
     "pi_minus_pit_coeffs", "poly_eval", "r_apply", "r_apply_via_relation",
     "r_dense", "rank_one_defects", "reflect_eigenpair", "restriction_spectra",

@@ -55,6 +55,32 @@ def test_metric_ok_is_inclusive():
     assert not Metric("m", np.nextafter(1.0, 2.0), 1.0).ok
 
 
+def test_reducer_keeps_the_largest_residual_and_any_nan_per_name():
+    # under one name: finite then NaN, NaN then finite, a float then an
+    # array, a NaN inside an array; names in first-yield order
+    nan = float("nan")
+
+    def suite(n_lo, n_hi):
+        yield "finite_then_nan", np.array([1.0, 3.0]), 1.0
+        yield "nan_then_finite", nan, 2.0
+        yield "float_then_array", 0.5, 3.0
+        yield "nan_in_array", 4.0, 4.0
+        yield "finite_then_nan", nan, 1.0
+        yield "nan_then_finite", np.array([5.0, 4.0]), 2.0
+        yield "float_then_array", np.array([0.25, 0.75]), 3.0
+        yield "nan_in_array", np.array([1.0, nan]), 4.0
+        yield "float_then_array", 0.5, 3.0
+
+    metrics = verify._reduced(suite)(2, 2)
+    assert [m.name for m in metrics] == ["finite_then_nan", "nan_then_finite",
+                                         "float_then_array", "nan_in_array"]
+    assert [m.bound for m in metrics] == [1.0, 2.0, 3.0, 4.0]
+    assert all(type(m.value) is float for m in metrics)
+    assert np.isnan(metrics[0].value) and np.isnan(metrics[1].value)
+    assert metrics[2].value == 0.75
+    assert np.isnan(metrics[3].value)
+
+
 def test_ramps_frozen_5():
     np.testing.assert_array_equal(ramp_even(5), [1, 2, 3, 2, 1])
     np.testing.assert_array_equal(ramp_odd(5), [1, 2, 0, -2, -1])
@@ -183,12 +209,12 @@ def _pi_on_both_halves(r, x):
 
 def _scaled_pack(n):
     pack = make_fourier_pack(n)
-    return FourierPack(n=n, f_star=pack.f_star, h_star=pack.h_star * (1 + 1e-9))
+    return FourierPack(f_star=pack.f_star, h_star=pack.h_star * (1 + 1e-9))
 
 
 def _nan_pack(n):
     pack = make_fourier_pack(n)
-    return FourierPack(n=n, f_star=pack.f_star, h_star=_nan_first(pack.h_star))
+    return FourierPack(f_star=pack.f_star, h_star=_nan_first(pack.h_star))
 
 
 def _identity(n):
@@ -458,8 +484,8 @@ def test_nilpotent_suite_and_verify_nilpotent_agree(monkeypatch):
             assert metric.ok == verify_nilpotent(matrix)
 
 
-def test_unitary_suite_and_is_unitary_agree(monkeypatch):
-    # the defect behind is_unitary, on the exact transforms and on a scaled H*
+def test_unitary_suite_reports_the_unitary_defect(monkeypatch):
+    # the suite's value is ||U U* - I||_F / n, on the exact transforms and on a scaled H*
     for n in VERIFY_SIZES:
         for build in (make_fourier_pack, _scaled_pack):
             pack = build(n)
