@@ -58,9 +58,24 @@ def even_odd_split(x) -> EvenOddSplit:
 def _half(x: np.ndarray, odd: bool, matrix: bool = False) -> np.ndarray:
     # one half of the split by index reversal, for an already checked stack:
     # (y + flip y) / 2, or with odd (y - flip y) / 2; flip reverses the last
-    # axis, or with matrix the last two (E X E)
-    fx = x[..., ::-1, ::-1] if matrix else x[..., ::-1]
-    return (x - fx if odd else x + fx) / 2
+    # axis, or with matrix the last two (E X E).  The sum is halved in place
+    # on its float64 view, which is exact (a complex division by 2 would
+    # divide every element); a sum that overflows is formed again from the
+    # halved input, so finite halves of finite input stay finite
+    combine = np.subtract if odd else np.add
+
+    def flip(y):
+        return y[..., ::-1, ::-1] if matrix else y[..., ::-1]
+
+    try:
+        with np.errstate(over="raise"):
+            # C order keeps the last axis contiguous for the float64 view
+            out = combine(x, flip(x), order="C")
+    except FloatingPointError:
+        halved = x * 0.5
+        return combine(halved, flip(halved))
+    out.view(np.float64)[...] *= 0.5
+    return out
 
 
 def _split_parity(x: np.ndarray) -> EvenOddSplit:
@@ -91,7 +106,9 @@ def _is_centro(x: np.ndarray, skew: bool) -> bool:
     # E X E = X, or with skew E X E = -X, for an already checked square
     # matrix: max |X -+ E X E| <= 1e-10 + 1e-10 * max |X|, scale-invariant
     fx = x[..., ::-1, ::-1]
-    defect = np.max(np.abs(x + fx if skew else x - fx))
+    # a difference that overflows is a defect of inf, which fails the bound
+    with np.errstate(over="ignore"):
+        defect = np.max(np.abs(x + fx if skew else x - fx))
     return bool(defect <= _ABS_EPS + _REL_EPS * float(np.max(np.abs(x), initial=0.0)))
 
 

@@ -51,7 +51,8 @@ def fourier_star_dense(n: int) -> np.ndarray:
     exponents = np.outer(j, j)
     exponents %= n
     out = powers[exponents]
-    out /= np.sqrt(n)
+    # complex division by the real sqrt(n) is this product per component
+    out.view(np.float64)[...] *= 1.0 / np.sqrt(n)
     return out
 
 

@@ -104,13 +104,15 @@ def _complex_rows(draws: np.ndarray, n: int) -> np.ndarray:
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    # 2-norm of each vector of a stack
-    return np.linalg.norm(x, axis=-1)
+    # 2-norm of each vector of a stack: the real dot product of its float64
+    # view with itself, where np.linalg.norm would form the complex x.conj() * x
+    v = np.ascontiguousarray(x).view(np.float64)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def _fro_norms(x: np.ndarray) -> np.ndarray:
-    # Frobenius norm of each matrix of a stack
-    return np.linalg.norm(x, axis=(-2, -1))
+    # Frobenius norm of each matrix of a stack: the 2-norm of its entries
+    return _norms(x.reshape(x.shape[:-2] + (-1,)))
 
 
 def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -185,10 +185,15 @@ def signed_zero_rich(rng, shape):
 
 
 def reference_halves(x, odd, rows):
-    # (x + flip x) / 2, or with odd (x - flip x) / 2; flip reverses the last
-    # axis, and with rows the rows too, sliced explicitly as [..., ::-1, :]
+    # (x + flip x) / 2, or with odd (x - flip x) / 2, each real component
+    # halved exactly; flip reverses the last axis, and with rows the rows
+    # too, sliced explicitly as [..., ::-1, :]
     fx = x[..., ::-1, :][..., ::-1] if rows else x[..., ::-1]
-    return (x - fx if odd else x + fx) / 2
+    total = x - fx if odd else x + fx
+    out = np.empty_like(total)
+    out.real = total.real * 0.5
+    out.imag = total.imag * 0.5
+    return out
 
 
 ROOT_HALF = 1.0 / np.sqrt(2.0)
@@ -217,7 +222,8 @@ def test_centro_kernels_equal_the_two_sided_reference_bit_for_bit(shape):
     # signed zeros included: the row fold must run the same elementwise
     # operations as an explicit two-sided fold, not merely agree to round-off
     rng = np.random.default_rng(400 + sum(shape))
-    for x in (signed_zero_rich(rng, shape), complex_normal(rng, shape)):
+    for x in (signed_zero_rich(rng, shape), complex_normal(rng, shape),
+              np.asfortranarray(signed_zero_rich(rng, shape))):
         want = [reference_fold(reference_fold(x, row_odd)[..., None], col_odd)[..., 0]
                 for row_odd in (False, True) for col_odd in (False, True)]
         for got, expected in zip(block_form(x), want, strict=True):
@@ -228,6 +234,37 @@ def test_centro_kernels_equal_the_two_sided_reference_bit_for_bit(shape):
         split = even_odd_split(x)
         assert_same_bits(split.even, reference_halves(x, odd=False, rows=False))
         assert_same_bits(split.odd, reference_halves(x, odd=True, rows=False))
+
+
+def test_halves_keep_the_sign_of_a_zero_component():
+    # (-0 + 3j) / 2 as a complex division would give +0 + 1.5j
+    split = even_odd_split([complex(-0.0, 1.0), complex(-0.0, 2.0)])
+    assert np.signbit(split.even.real).all()
+    np.testing.assert_array_equal(split.even, [1.5j, 1.5j])
+    corner = complex(-0.0, 1.0)
+    sym = centro_split([[corner, 0.0], [0.0, corner]]).sym
+    assert np.signbit(sym.real.diagonal()).all()
+
+
+def test_splits_stay_finite_where_the_sum_overflows():
+    # x - Ex = 2e308 overflows, but the exact halves are finite
+    x = np.array([1e308, -1e308], dtype=np.complex128)
+    split = even_odd_split(x)
+    np.testing.assert_array_equal(split.odd, x)
+    np.testing.assert_array_equal(split.even, [0, 0])
+    m = np.array([[1e308, -1e308], [1e308, -1e308]], dtype=np.complex128)
+    parts = centro_split(m)
+    np.testing.assert_array_equal(parts.skew, m)
+    np.testing.assert_array_equal(parts.sym, np.zeros((2, 2)))
+
+
+def test_centro_predicates_decide_an_overflowing_defect_without_warning():
+    # X - E X E overflows: a defect of inf, decided without a warning (the
+    # suite turns warnings into errors)
+    m = [[1e308, -1e308], [1e308, -1e308]]
+    assert not is_centro_symmetric(m)
+    assert is_centro_skew(m)
+    assert not is_centro_skew([[1e308, 1e308], [1e308, 1e308]])
 
 
 def test_solve_centro_symmetric_identity_and_exchange():

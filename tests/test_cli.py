@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -505,6 +506,20 @@ def test_module_entry_point():
         assert proc.returncode == code
         assert proc.stdout.startswith(" ".join(argv[:2]))
         assert proc.stderr == ""
+
+
+def test_verify_json_bytes_do_not_depend_on_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "centrocirc", "verify", "centro", "60..64",
+             "--format", "json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_console_script_runs_main():

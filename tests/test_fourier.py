@@ -146,3 +146,12 @@ def test_fourier_star_dense_gather_is_bitwise_the_exp_formula(n):
     j = np.arange(n)
     expected = np.exp(2j * np.pi * (np.outer(j, j) % n) / n) / np.sqrt(n)
     assert np.array_equal(fourier_star_dense(n), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
+def test_fourier_star_dense_scaling_is_bitwise_the_complex_division(n):
+    # scaling each real component by 1/sqrt(n) gives the bytes of dividing
+    # the complex entries by sqrt(n)
+    j = np.arange(n)
+    expected = _omega_powers(n)[np.outer(j, j) % n] / np.sqrt(n)
+    assert fourier_star_dense(n).tobytes() == expected.tobytes()

@@ -176,6 +176,18 @@ def test_relation_paths_agree(xs):
     )
 
 
+def test_relation_path_stays_finite_where_the_split_sum_overflows():
+    # x - Ex overflows at the ends, though the odd half is x itself; only the
+    # middle entry, -2e308, is out of range, on both paths
+    r = SpecialTridiag(3)
+    x = [1e308, 0, -1e308]
+    with np.errstate(over="ignore"):
+        direct = r_apply(r, x)
+        via = r_apply_via_relation(r, x)
+    np.testing.assert_array_equal(direct, [-1e308, -np.inf, -1e308])
+    assert via.tobytes() == direct.tobytes()
+
+
 def test_rank_one_defects_frozen_4():
     d_plus, d_minus = rank_one_defects(4)
     np.testing.assert_array_equal(

@@ -37,6 +37,8 @@ from centrocirc.verify import (
     SUITE_NAMES,
     VERIFY_N_MAX,
     VERIFY_N_MIN,
+    _fro_norms,
+    _norms,
     centro_suite,
     nilpotent_suite,
     ramp_even,
@@ -363,10 +365,14 @@ def _reference_centro_suite(n, rng):
         worst[metric] = max(worst[metric], float(np.max(values)))
 
     def norms(v):
-        return np.linalg.norm(v, axis=-1)
+        # one real dot product per vector of the float64 view: the sum of
+        # re^2 + im^2 over its entries
+        flat = np.ascontiguousarray(v).view(np.float64)
+        rows = flat.reshape(-1, flat.shape[-1])
+        return np.sqrt([row @ row for row in rows]).reshape(flat.shape[:-1])
 
     def fro(m):
-        return np.linalg.norm(m, axis=(-2, -1))
+        return norms(m.reshape(m.shape[:-2] + (-1,)))
 
     def matvecs(a, v):
         return (a @ v[..., None])[..., 0]
@@ -441,6 +447,23 @@ def test_centro_suite_values_equal_the_checked_reference(n, seed):
     metrics = centro_suite(n, n, np.random.default_rng(seed))
     expected = _reference_centro_suite(n, np.random.default_rng(seed))
     assert {m.name: m.value for m in metrics} == expected
+
+
+def test_real_dot_norms_agree_with_numpy_norm():
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for n in range(1, 65):
+        vectors = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        matrices = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        for got, want in ((_norms(vectors), np.linalg.norm(vectors, axis=-1)),
+                          (_fro_norms(matrices), np.linalg.norm(matrices, axis=(-2, -1)))):
+            assert got.shape == want.shape
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    assert worst <= 1e-15
+    # the float64 views need no particular layout: a transposed or reversed
+    # stack gives the bits of its C-ordered copy
+    for norm, stack in ((_fro_norms, matrices.swapaxes(-1, -2)), (_norms, vectors[:, ::-1])):
+        assert norm(stack).tobytes() == norm(stack.copy()).tobytes()
 
 
 def test_centro_suite_checks_only_the_solver_inputs(monkeypatch):
