@@ -3,8 +3,11 @@
 The exchange matrix E has ones on the counter-diagonal; conjugation
 ``X -> E X E`` is an involution whose fixed points are the centro-symmetric
 matrices and whose negated points are the centro-skew ones.  Vectors fixed
-by E are even (palindromic), vectors negated by E are odd.  Both actions
-are realized by index reversal, never by materializing E.
+by E are even (palindromic), vectors negated by E are odd.  Since
+E_n (x) E_n = E_{n^2}, conjugation ``X -> E X E`` reverses the row-major
+vectorization vec X, so the centro-symmetric and centro-skew halves of X
+are the even and odd halves of vec X.  Both actions are the one index
+reversal of a last axis, never a materialized E.
 """
 
 from __future__ import annotations
@@ -55,27 +58,28 @@ def even_odd_split(x) -> EvenOddSplit:
     return _split_parity(as_vector(x, stacked=True))
 
 
-def _half(x: np.ndarray, odd: bool, matrix: bool = False) -> np.ndarray:
-    # one half of the split by index reversal, for an already checked stack:
-    # (y + flip y) / 2, or with odd (y - flip y) / 2; flip reverses the last
-    # axis, or with matrix the last two (E X E).  The sum is halved in place
-    # on its float64 view, which is exact (a complex division by 2 would
-    # divide every element); a sum that overflows is formed again from the
-    # halved input, so finite halves of finite input stay finite
+def _half(x: np.ndarray, odd: bool) -> np.ndarray:
+    # one half of the split by reversal of the last axis, for an already
+    # checked stack: (y + Ey) / 2, or with odd (y - Ey) / 2.  The sum is
+    # halved in place on its float64 view, which is exact (a complex division
+    # by 2 would divide every element); a sum that overflows is formed again
+    # from the halved input, so finite halves of finite input stay finite
     combine = np.subtract if odd else np.add
-
-    def flip(y):
-        return y[..., ::-1, ::-1] if matrix else y[..., ::-1]
-
     try:
         with np.errstate(over="raise"):
             # C order keeps the last axis contiguous for the float64 view
-            out = combine(x, flip(x), order="C")
+            out = combine(x, x[..., ::-1], order="C")
     except FloatingPointError:
         halved = x * 0.5
-        return combine(halved, flip(halved))
+        return combine(halved, halved[..., ::-1])
     out.view(np.float64)[...] *= 0.5
     return out
+
+
+def _vec(x: np.ndarray) -> np.ndarray:
+    # the row-major vectorization of each matrix of a stack: E X E reverses
+    # vec X, so a matrix's centro halves are the even/odd halves of vec X
+    return x.reshape(x.shape[:-2] + (-1,))
 
 
 def _split_parity(x: np.ndarray) -> EvenOddSplit:
@@ -98,18 +102,22 @@ def centro_split(x) -> CentroSplit:
 
 def _split_centro(x: np.ndarray) -> CentroSplit:
     # both halves of an already checked stack of square matrices
-    return CentroSplit(sym=_half(x, odd=False, matrix=True),
-                       skew=_half(x, odd=True, matrix=True))
+    v = _vec(x)
+    return CentroSplit(sym=_half(v, odd=False).reshape(x.shape),
+                       skew=_half(v, odd=True).reshape(x.shape))
 
 
 def _is_centro(x: np.ndarray, skew: bool) -> bool:
     # E X E = X, or with skew E X E = -X, for an already checked square
-    # matrix: max |X -+ E X E| <= 1e-10 + 1e-10 * max |X|, scale-invariant
-    fx = x[..., ::-1, ::-1]
-    # a difference that overflows is a defect of inf, which fails the bound
+    # matrix: the half of vec X that must vanish, max |X -+ E X E| / 2, is
+    # within 1e-10 / 2 + 1e-10 * max |X / 2|, scale-invariant.  Both sides
+    # are halves, so they stay finite where a modulus of X overflows
+    v = _vec(x)
+    # a half whose modulus overflows is a defect of inf, which fails the bound
     with np.errstate(over="ignore"):
-        defect = np.max(np.abs(x + fx if skew else x - fx))
-    return bool(defect <= _ABS_EPS + _REL_EPS * float(np.max(np.abs(x), initial=0.0)))
+        defect = np.max(np.abs(_half(v, odd=not skew)))
+    scale = float(np.max(np.abs(v * 0.5), initial=0.0))
+    return bool(defect <= 0.5 * _ABS_EPS + _REL_EPS * scale)
 
 
 def is_centro_symmetric(x) -> bool:

@@ -25,6 +25,7 @@ from .centro import (
     _half,
     _split_centro,
     _split_parity,
+    _vec,
     even_odd_split,
     solve_centro_symmetric,
 )
@@ -112,7 +113,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 def _fro_norms(x: np.ndarray) -> np.ndarray:
     # Frobenius norm of each matrix of a stack: the 2-norm of its entries
-    return _norms(x.reshape(x.shape[:-2] + (-1,)))
+    return _norms(_vec(x))
 
 
 def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -200,11 +201,12 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             parts_norm = np.maximum(sym_norm + skew_norm, 1e-300)
             other_norm = _fro_norms(other.sym) + _fro_norms(other.skew)
             mscale = parts_norm * np.maximum(other_norm, 1e-300)
-            # only the half that must vanish: sym * sym is sym, sym * skew is skew, ...
-            table = _fro_norms(_half(parts.sym @ other.sym, odd=True, matrix=True))
-            table += _fro_norms(_half(parts.sym @ other.skew, odd=False, matrix=True))
-            table += _fro_norms(_half(parts.skew @ other.sym, odd=False, matrix=True))
-            table += _fro_norms(_half(parts.skew @ other.skew, odd=True, matrix=True))
+            # only the half of vec(product) that must vanish: sym * sym is
+            # sym, sym * skew is skew, ...
+            table = _norms(_half(_vec(parts.sym @ other.sym), odd=True))
+            table += _norms(_half(_vec(parts.sym @ other.skew), odd=False))
+            table += _norms(_half(_vec(parts.skew @ other.sym), odd=False))
+            table += _norms(_half(_vec(parts.skew @ other.skew), odd=True))
             yield "max_multiplication_table_residual", table / mscale, roundoff * 10
 
             sym_scale = np.maximum(sym_norm, 1e-300) * scale
@@ -242,10 +244,10 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
 
 
 def _random_full_solve(rng: np.random.Generator, n: int):
-    # sym, w and the full LU solve of sym z = w; the sym part of a Gaussian
-    # draw is almost surely nonsingular, but retry to be safe
+    # sym, w and the full LU solve of sym z = w; sym is the even half of a
+    # Gaussian vec draw, almost surely nonsingular, but retry to be safe
     for _ in range(64):
-        sym = _half(_complex_normal(rng, (n, n)), odd=False, matrix=True)
+        sym = _half(_complex_normal(rng, n * n), odd=False).reshape(n, n)
         w = _complex_normal(rng, n)
         try:
             return sym, w, solve_dense(sym, w)

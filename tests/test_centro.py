@@ -72,15 +72,28 @@ def test_even_odd_split_recombines(xs):
     np.testing.assert_array_equal(split.odd, -split.odd[::-1])
 
 
+def strided(x):
+    # the same matrix as a non-contiguous view: x[::2, ::2] of a larger array
+    big = np.full((2 * x.shape[0], 2 * x.shape[1]), 7 + 3j)
+    big[::2, ::2] = x
+    return big[::2, ::2]
+
+
 def test_centro_split_recombines_and_classifies():
     rng = np.random.default_rng(55)
     x = complex_normal(rng, (6, 6))
     parts = centro_split(x)
     np.testing.assert_allclose(parts.sym + parts.skew, x, atol=1e-14)
-    assert is_centro_symmetric(parts.sym)
-    assert is_centro_skew(parts.skew)
-    assert not is_centro_symmetric(parts.skew + np.eye(6))
-    assert not is_centro_skew(parts.sym + exchange_dense(6))
+    # the vectorization reads the logical row-major order of any layout, and
+    # the transpose of a centro-symmetric (skew) matrix is one too
+    for layout in (np.ascontiguousarray, np.asfortranarray, np.transpose, strided):
+        assert is_centro_symmetric(layout(parts.sym))
+        assert is_centro_skew(layout(parts.skew))
+        assert not is_centro_symmetric(layout(parts.skew + np.eye(6)))
+        assert not is_centro_skew(layout(parts.sym + exchange_dense(6)))
+        split = centro_split(layout(x))
+        np.testing.assert_array_equal(split.sym, layout(parts.sym))
+        np.testing.assert_array_equal(split.skew, layout(parts.skew))
 
 
 def test_centro_split_requires_square():
@@ -265,6 +278,14 @@ def test_centro_predicates_decide_an_overflowing_defect_without_warning():
     assert not is_centro_symmetric(m)
     assert is_centro_skew(m)
     assert not is_centro_skew([[1e308, 1e308], [1e308, 1e308]])
+    # |a| overflows but |a / 2| does not: the half that must vanish and the
+    # bound are both measured on halves, so neither reads inf
+    a = 1.5e308 + 1.5e308j
+    for unstructured in ([[a, 0], [0, 0]], [[a, 1], [2, 3]]):
+        assert not is_centro_symmetric(unstructured)
+        assert not is_centro_skew(unstructured)
+    assert is_centro_symmetric(np.diag([a, a]))
+    assert is_centro_skew(np.diag([a, -a]))
 
 
 def test_solve_centro_symmetric_identity_and_exchange():
@@ -294,6 +315,11 @@ def test_solve_centro_symmetric_rejects_unstructured():
     a = complex_normal(rng, (5, 5))  # generic, no exchange symmetry
     with pytest.raises(NotCentroSymmetricError):
         solve_centro_symmetric(a, np.ones(5))
+
+
+def test_solve_centro_symmetric_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="incompatible shapes"):
+        solve_centro_symmetric(np.eye(4), np.ones(3))
 
 
 def test_reflect_eigenpair_negates_value_and_flips_vector():

@@ -449,6 +449,33 @@ def test_centro_suite_values_equal_the_checked_reference(n, seed):
     assert {m.name: m.value for m in metrics} == expected
 
 
+def test_random_full_solve_retries_a_singular_draw(monkeypatch):
+    drawn = []
+
+    def singular_once(a, w):
+        drawn.append(a)
+        if len(drawn) == 1:
+            raise SingularMatrixError("drawn singular")
+        return solve_dense(a, w)
+
+    monkeypatch.setattr(verify, "solve_dense", singular_once)
+    sym, w, z = verify._random_full_solve(np.random.default_rng(3), 5)
+    # the retry solves a fresh draw, not the rejected one again
+    assert len(drawn) == 2 and sym is drawn[1]
+    assert not np.array_equal(drawn[0], drawn[1])
+    assert centro.is_centro_symmetric(sym)
+    np.testing.assert_allclose(sym @ z, w, atol=1e-10)
+
+
+def test_random_full_solve_gives_up_on_always_singular_draws(monkeypatch):
+    def always_singular(a, w):
+        raise SingularMatrixError("drawn singular")
+
+    monkeypatch.setattr(verify, "solve_dense", always_singular)
+    with pytest.raises(RuntimeError, match="nonsingular centro-symmetric"):
+        verify._random_full_solve(np.random.default_rng(3), 5)
+
+
 def test_real_dot_norms_agree_with_numpy_norm():
     rng = np.random.default_rng(17)
     worst = 0.0
