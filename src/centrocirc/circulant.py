@@ -16,7 +16,9 @@ With ``D = Diag(1, sigma, ..., sigma**(n-1))``, ``SCirc(a) = D Circ(sigma o a) D
 a skew-circulant's spectrum and products are the circulant ones of the
 sigma-twisted first row, conjugated by D.  So there is one FFT path, here:
 one inverse FFT of a first row gives all n eigenvalues at once, and
-``_spectrum`` is the only place they are computed.
+``_spectrum`` is the only place they are computed.  Both fast products run
+through ``_fft_product``: it allocates the spectrum and one transform
+buffer, and scales, inverts and applies the twist in that buffer in place.
 """
 
 from __future__ import annotations
@@ -117,24 +119,47 @@ def scirc_spectrum(s: SkewCirculant) -> np.ndarray:
     return _spectrum(s.coeffs * sigma_powers(s.n))
 
 
+def _fft_product(row: np.ndarray, x: np.ndarray,
+                 twist: np.ndarray | None = None) -> np.ndarray:
+    # Circ(row) @ x, or D Circ(row) D* x with D = Diag(twist): transform,
+    # scale by the spectrum, invert.  Only the spectrum and the returned
+    # buffer are allocated: the scaling, the inverse transform and both
+    # twists run in place, D* by conjugating the caller's fresh twist there
+    # and back.
+    spectrum = _spectrum(row)
+    if twist is None:
+        out = np.fft.fft(x, norm="ortho")
+    else:
+        np.conjugate(twist, out=twist)
+        out = np.multiply(twist, x)
+        np.fft.fft(out, norm="ortho", out=out)
+        np.conjugate(twist, out=twist)
+    np.multiply(spectrum, out, out=out)
+    np.fft.ifft(out, norm="ortho", out=out)
+    if twist is not None:
+        out *= twist
+    return out
+
+
 def circ_matvec(c: Circulant, x) -> np.ndarray:
     """Fast product Circ(c) @ x: transform, scale by the spectrum, invert.
 
     x may be an ``(..., n)`` stack; each vector along the last axis is
-    multiplied."""
-    scaled = circ_spectrum(c) * np.fft.fft(_require_length(x, c.n), norm="ortho")
-    return np.fft.ifft(scaled, norm="ortho")
+    multiplied.  The product allocates the spectrum and one transform
+    buffer, which it returns."""
+    return _fft_product(c.coeffs, _require_length(x, c.n))
 
 
 def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
     """Fast product SCirc(a) @ x as D Circ(sigma o a) D* x, D = Diag(sigma**j).
 
     x may be an ``(..., n)`` stack, as for ``circ_matvec``.  The twist
-    ``sigma_powers(n)`` is computed once per call."""
+    ``sigma_powers(n)`` is computed once per call and applied in place.
+    Besides it and the twisted row, the product allocates the spectrum and
+    one transform buffer, which it returns."""
     x = _require_length(x, s.n)
     twist = sigma_powers(s.n)
-    scaled = _spectrum(s.coeffs * twist) * np.fft.fft(twist.conj() * x, norm="ortho")
-    return twist * np.fft.ifft(scaled, norm="ortho")
+    return _fft_product(s.coeffs * twist, x, twist)
 
 
 def circ_eigenpairs(c: Circulant) -> list[EigenPair]:

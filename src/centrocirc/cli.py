@@ -55,12 +55,11 @@ from .fourier import fourier_star_dense, make_fourier_pack, sigma_powers
 from .circulant import (
     Circulant,
     SkewCirculant,
+    _spectrum,
     basic_circulant,
     basic_skew_circulant,
     circ_dense,
-    circ_spectrum,
     scirc_dense,
-    scirc_spectrum,
 )
 from .centro import exchange_dense
 from .dense import _norm
@@ -233,9 +232,11 @@ def cmd_spectrum(kind: str, arg: str, tol_text: str) -> CommandReport:
     with np.errstate(over="ignore", invalid="ignore"):
         # finite input can still overflow here; that is rejected just below
         if isinstance(matrix, Circulant):
-            values, row = circ_spectrum(matrix), matrix.coeffs
+            row = matrix.coeffs
         else:
-            values, row = scirc_spectrum(matrix), matrix.coeffs * sigma_powers(n)
+            row = matrix.coeffs * sigma_powers(n)
+        # circ_spectrum or scirc_spectrum, with the twist formed once
+        values = _spectrum(row)
     if not np.all(np.isfinite(values)):
         raise UsageError("the spectrum of these coefficients overflows")
     bound = tol * n * max(coeff_norm, 1.0)

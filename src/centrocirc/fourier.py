@@ -15,7 +15,10 @@ Conventions (0-based array indices j, k; size n):
 
 Powers of the roots are always evaluated as ``exp`` of the exact angle for
 each index (with the exponent reduced mod n), never by repeated
-multiplication, so there is no error accumulation at large powers.
+multiplication, so there is no error accumulation at large powers.  The
+angle is formed in real arithmetic as ``(pi*k)*(1.0/n)`` (``(2*pi*k)*(1.0/n)``
+for omega): two roundings, the same ones numpy's complex division in
+``exp(1j*pi*k/n)`` makes, so the powers have that formula's bits.
 """
 
 from __future__ import annotations
@@ -27,16 +30,26 @@ import numpy as np
 from .dense import _require_size
 
 
+def _root_powers(n: int, phase: float) -> np.ndarray:
+    # exp(i * (phase*k) * (1.0/n)) for k = 0..n-1, phase being the angle of
+    # the root's n-th power: the real angle is written into the imaginary
+    # lanes of a zeroed array, which is then exponentiated in place
+    n = _require_size(n, 1)
+    out = np.zeros(n, dtype=np.complex128)
+    angle = out.imag
+    np.multiply(np.arange(n), phase, out=angle)
+    angle *= 1.0 / n
+    return np.exp(out, out=out)
+
+
 def _omega_powers(n: int) -> np.ndarray:
     """[omega**0, ..., omega**(n-1)], each from its exact angle."""
-    n = _require_size(n, 1)
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    return _root_powers(n, 2 * np.pi)
 
 
 def sigma_powers(n: int) -> np.ndarray:
     """[sigma**0, ..., sigma**(n-1)], each from its exact angle."""
-    n = _require_size(n, 1)
-    return np.exp(1j * np.pi * np.arange(n) / n)
+    return _root_powers(n, np.pi)
 
 
 def fourier_star_dense(n: int) -> np.ndarray:

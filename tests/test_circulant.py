@@ -220,6 +220,51 @@ def test_scirc_matvec_is_twisted_circ_matvec(n):
     assert np.all(gap <= 1e-13 * np.linalg.norm(expected, axis=-1))
 
 
+def _spectrum_formula(row):
+    return row.shape[0] * np.fft.ifft(row)
+
+
+def _circ_matvec_formula(c, x):
+    # the circulant product as three out-of-place expressions
+    scaled = _spectrum_formula(c.coeffs) * np.fft.fft(x, norm="ortho")
+    return np.fft.ifft(scaled, norm="ortho")
+
+
+def _scirc_matvec_formula(s, x):
+    # the skew product as out-of-place expressions on the exp-formula twist
+    twist = np.exp(1j * np.pi * np.arange(s.n) / s.n)
+    scaled = _spectrum_formula(s.coeffs * twist) * np.fft.fft(twist.conj() * x, norm="ortho")
+    return twist * np.fft.ifft(scaled, norm="ortho")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 2**16])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_in_place_products_keep_the_formula_values(n, stack):
+    # the circulant product has the formula's bits.  The skew product may move
+    # in the last bit: with FMA a*b and b*a can round differently, and numpy
+    # turns the formula's final `twist * tmp` into `tmp *= twist` only for
+    # temporaries of at least 256 KiB, so the formula's own order depends on n
+    rng = np.random.default_rng(700 + n)
+    x = rng.standard_normal(stack + (n,)) + 1j * rng.standard_normal(stack + (n,))
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c, s = Circulant(a), SkewCirculant(a)
+    assert circ_matvec(c, x).tobytes() == _circ_matvec_formula(c, x).tobytes()
+    expected = _scirc_matvec_formula(s, x)
+    assert np.max(np.abs(scirc_matvec(s, x) - expected)) <= 4e-16 * np.max(np.abs(expected))
+
+
+def test_products_leave_their_input_alone():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    before = x.copy()
+    for matvec, kind in ((circ_matvec, Circulant), (scirc_matvec, SkewCirculant)):
+        op = kind(rng.standard_normal(8))
+        coeffs = op.coeffs.copy()
+        matvec(op, x)
+        assert x.tobytes() == before.tobytes()
+        assert op.coeffs.tobytes() == coeffs.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 6, 17])
 def test_matvec_matches_dense(n):
     rng = np.random.default_rng(200 + n)
@@ -377,9 +422,24 @@ def test_one_twist_per_skew_circulant_product(monkeypatch, n):
     assert shapes == [x.shape]
     centrocirc.scirc_spectrum(s)
     assert len(calls) == 2
-    # R is applied as shifts of pi and eta: no twist at all
+    # R is applied as shifts of pi and eta, and Circ(c) without D: no twist at all
     centrocirc.r_apply_via_relation(centrocirc.SpecialTridiag(n), x)
+    centrocirc.circ_matvec(Circulant(s.coeffs), x)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "scirc", "1,2i,-0.0,3.25"),
+                                  ("spectrum", "r-odd", "7"),
+                                  ("spectrum", "circ", "1,2,3"),
+                                  ("spectrum", "r-even", "7")])
+def test_one_twist_per_skew_spectrum_command(monkeypatch, capsys, argv):
+    from centrocirc.cli import main
+
+    calls = []
+    _count_calls(monkeypatch, "centrocirc.fourier", "sigma_powers", calls.append)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(calls) == (argv[1] in ("scirc", "r-odd"))
 
 
 @pytest.mark.parametrize("n", [2, 7, 64])

@@ -195,6 +195,26 @@ def test_show_7_bytes_are_pinned(capsys, kind, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == _SHOW_7_SHA256[kind, fmt]
 
 
+# sha256 of json stdout at sizes where the FFT and the roots run long vectors
+_JSON_SHA256 = {
+    ("show", "h", "64"): "49d6e454bf72a8a43da6fdac8eeb472cbb4283a6cfc32c1f4f46dd9104913ee9",
+    ("show", "fourier", "64"): "a2c63a79eeccee541fd0699597debd2e76adfed461e94a4826aa3075c9b268c6",
+    ("spectrum", "r-odd", "1024"):
+        "88f8b3518b8691e1d2717d7aa476bd71ff758cc6a32f0a98d8f28f30d58673e5",
+    ("spectrum", "r-even", "1024"):
+        "7b57de2f84c58bae1bb975be31c4327351a45676252f17f32616ddb9ff770a59",
+    ("spectrum", "scirc", "1,2i,-0.0,3.25,-4,0.5,-1e-3"):
+        "0be9f6531b491815cc09e4ccf06d53b94925004996cc706423f37e2ec30febea",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_JSON_SHA256))
+def test_large_json_bytes_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _JSON_SHA256[argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -621,16 +641,17 @@ _CONTROL_CASES += [("circ", 1), ("scirc", 1)]
 @pytest.mark.parametrize("kind,n", _CONTROL_CASES)
 def test_spectrum_rejects_a_perturbed_eigenvalue(capsys, monkeypatch, kind, n):
     # negative control: the last eigenvalue moved by 1e-6 * max(1, ||c||),
-    # added rather than scaled, since r-even 2 has an all-zero spectrum
-    def perturbed(spectrum):
-        def wrapped(matrix):
-            values = spectrum(matrix).copy()
-            values[-1] += 1e-6 * max(1.0, float(np.linalg.norm(matrix.coeffs)))
-            return values
-        return wrapped
+    # added rather than scaled, since r-even 2 has an all-zero spectrum.  The
+    # command takes both spectra from cli._spectrum of the (twisted) first
+    # row, whose norm is ||c|| since the twist has unit modulus
+    spectrum = cli._spectrum
 
-    for name in ("circ_spectrum", "scirc_spectrum"):
-        monkeypatch.setattr(cli, name, perturbed(getattr(cli, name)))
+    def perturbed(row):
+        values = spectrum(row)
+        values[-1] += 1e-6 * max(1.0, float(np.linalg.norm(row)))
+        return values
+
+    monkeypatch.setattr(cli, "_spectrum", perturbed)
     code, out, err = run_cli(capsys, *_spectrum_argv(kind, n))
     assert err == ""
     assert code == 1

@@ -148,6 +148,19 @@ def test_fourier_star_dense_gather_is_bitwise_the_exp_formula(n):
     assert np.array_equal(fourier_star_dense(n), expected)
 
 
+_ROOT_SIZES = list(range(1, 1025)) + [2**16, 3**11, 2**18]
+
+
+def test_root_powers_are_bitwise_the_exp_formula():
+    # the real angle (pi*k)*(1.0/n) written into imaginary lanes must give the
+    # bytes of the complex formula, whose division by n is that product;
+    # plain true division (pi*k)/n already differs at n = 6, 9 and 11
+    for n in _ROOT_SIZES:
+        k = np.arange(n)
+        assert sigma_powers(n).tobytes() == np.exp(1j * np.pi * k / n).tobytes(), n
+        assert _omega_powers(n).tobytes() == np.exp(2j * np.pi * k / n).tobytes(), n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1024])
 def test_fourier_star_dense_scaling_is_bitwise_the_complex_division(n):
     # scaling each real component by 1/sqrt(n) gives the bytes of dividing
