@@ -3,7 +3,11 @@
 A circulant is stored by its first row ``c``; each later row is the cyclic
 right-shift of the one above, so the dense entry (i, j) is ``c[(j - i) % n]``.
 A skew-circulant is the same shape with every entry strictly below the main
-diagonal negated.
+diagonal negated.  Both are Davis's phi-circulants (*Circulant Matrices*,
+1979, section 3.1): the shift wraps an entry around times ``wrap``, the class
+attribute 1 or -1.  The object, not the function name, picks the family:
+``circ_op(f)`` and ``scirc_op(f)`` agree for every ``f``, and a product of
+the two families raises ``TypeError``.
 
 The basic circulant (first row ``0, 1, 0, ..., 0``) generates the circulant
 algebra: ``Circ(c) = c_1 I + c_2 pi + ... + c_n pi**(n-1)``, and likewise the
@@ -15,15 +19,16 @@ unity (resp. at odd powers of the 2n-th root).
 With ``D = Diag(1, sigma, ..., sigma**(n-1))``, ``SCirc(a) = D Circ(sigma o a) D*``:
 a skew-circulant's spectrum and products are the circulant ones of the
 sigma-twisted first row, conjugated by D.  So there is one FFT path, here:
-one inverse FFT of a first row gives all n eigenvalues at once, and
-``_spectrum`` is the only place they are computed.  Both fast products run
-through ``_fft_product``: it allocates the spectrum and one transform
-buffer, and scales, inverts and applies the twist in that buffer in place.
+``_circulant_form`` is the only place that decides the twist, and its one
+inverse FFT of the (twisted) first row gives all n eigenvalues.  Both fast
+products run through ``_fft_product``: it allocates the spectrum and one
+transform buffer, and scales, inverts and applies the twist there in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .fourier import fourier_star_dense, make_fourier_pack, sigma_powers
 class _FirstRow:
     # the first row both compact types share: a checked nonempty vector
     coeffs: np.ndarray
+    wrap: ClassVar[float]  # the factor the shift gives the entry it wraps around
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", as_vector(self.coeffs))
@@ -45,11 +51,15 @@ class _FirstRow:
 
 
 class Circulant(_FirstRow):
-    """First row of a circulant matrix."""
+    """First row of a circulant matrix; circ_* and scirc_* functions alike treat it as one."""
+
+    wrap = 1.0
 
 
 class SkewCirculant(_FirstRow):
-    """First row of a skew-circulant matrix."""
+    """First row of a skew-circulant; circ_* and scirc_* functions alike treat it as one."""
+
+    wrap = -1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +91,23 @@ def _shifted_rows(doubled: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(doubled, n)[n:0:-1].copy()
 
 
+def _dense(f: _FirstRow) -> np.ndarray:
+    # windows of (c, c), never of (wrap * c, c): x * 1.0 drops a -0.0
+    # imaginary part.  For the skew family, windows of (-a, a), where + 0.0
+    # clears the negative zeros of the sign flip
+    if f.wrap > 0:
+        return _shifted_rows(np.concatenate((f.coeffs, f.coeffs)))
+    return _shifted_rows(np.concatenate((-f.coeffs, f.coeffs)) + 0.0)
+
+
 def circ_dense(c: Circulant) -> np.ndarray:
     """Entry (i, j) is c[(j - i) % n]: windows of the doubled row (c, c)."""
-    return _shifted_rows(np.concatenate((c.coeffs, c.coeffs)))
+    return _dense(c)
 
 
 def scirc_dense(s: SkewCirculant) -> np.ndarray:
     """Windows of (-a, a): the entries below the diagonal come from -a."""
-    # + 0.0 clears the negative zeros of the sign flip
-    return _shifted_rows(np.concatenate((-s.coeffs, s.coeffs)) + 0.0)
+    return _dense(s)
 
 
 def poly_eval(a, t: complex) -> complex:
@@ -104,29 +122,31 @@ def poly_eval(a, t: complex) -> complex:
     return acc
 
 
-def _spectrum(row: np.ndarray) -> np.ndarray:
-    # the eigenvalues of Circ(row): p_row at omega**k, k = 0..n-1
-    return row.shape[0] * np.fft.ifft(row)
+def _circulant_form(f: _FirstRow) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    # f as D Circ(row) D* with the spectrum p_row at omega**k, k = 0..n-1: no
+    # twist D for a circulant, D = Diag(sigma**j) and row sigma o a if skew
+    twist = sigma_powers(f.n) if f.wrap < 0 else None
+    row = f.coeffs if twist is None else f.coeffs * twist
+    return twist, row, row.shape[0] * np.fft.ifft(row)
 
 
 def circ_spectrum(c: Circulant) -> np.ndarray:
     """Eigenvalues in the canonical order: p_c at omega**k, k = 0..n-1."""
-    return _spectrum(c.coeffs)
+    return _circulant_form(c)[2]
 
 
 def scirc_spectrum(s: SkewCirculant) -> np.ndarray:
     """Eigenvalues p_a at sigma**(2k+1): the circulant ones of sigma o a."""
-    return _spectrum(s.coeffs * sigma_powers(s.n))
+    return _circulant_form(s)[2]
 
 
-def _fft_product(row: np.ndarray, x: np.ndarray,
-                 twist: np.ndarray | None = None) -> np.ndarray:
-    # Circ(row) @ x, or D Circ(row) D* x with D = Diag(twist): transform,
-    # scale by the spectrum, invert.  Only the spectrum and the returned
-    # buffer are allocated: the scaling, the inverse transform and both
-    # twists run in place, D* by conjugating the caller's fresh twist there
-    # and back.
-    spectrum = _spectrum(row)
+def _fft_product(f: _FirstRow, x) -> np.ndarray:
+    # f @ x as D Circ(row) D* x: transform, scale by the spectrum, invert.
+    # Besides the form, only the returned buffer is allocated: the scaling,
+    # the inverse transform and both twists run in place, D* by conjugating
+    # the fresh twist there and back.
+    x = _require_length(x, f.n)
+    twist, _, spectrum = _circulant_form(f)
     if twist is None:
         out = np.fft.fft(x, norm="ortho")
     else:
@@ -147,7 +167,7 @@ def circ_matvec(c: Circulant, x) -> np.ndarray:
     x may be an ``(..., n)`` stack; each vector along the last axis is
     multiplied.  The product allocates the spectrum and one transform
     buffer, which it returns."""
-    return _fft_product(c.coeffs, _require_length(x, c.n))
+    return _fft_product(c, x)
 
 
 def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
@@ -157,41 +177,43 @@ def scirc_matvec(s: SkewCirculant, x) -> np.ndarray:
     ``sigma_powers(n)`` is computed once per call and applied in place.
     Besides it and the twisted row, the product allocates the spectrum and
     one transform buffer, which it returns."""
-    x = _require_length(x, s.n)
-    twist = sigma_powers(s.n)
-    return _fft_product(s.coeffs * twist, x, twist)
+    return _fft_product(s, x)
+
+
+def _eigenpairs(f: _FirstRow) -> list[EigenPair]:
+    # the unit eigenvectors are the columns of F* (circulant) or H* (skew)
+    vectors = fourier_star_dense(f.n) if f.wrap > 0 else make_fourier_pack(f.n).h_star
+    values = _circulant_form(f)[2]
+    return [EigenPair(value=values[k], vector=vectors[:, k]) for k in range(f.n)]
 
 
 def circ_eigenpairs(c: Circulant) -> list[EigenPair]:
     """Analytic eigenpairs: value circ_spectrum(c)[k], unit vector column k of F*."""
-    f_star = fourier_star_dense(c.n)
-    values = circ_spectrum(c)
-    return [EigenPair(value=values[k], vector=f_star[:, k]) for k in range(c.n)]
+    return _eigenpairs(c)
 
 
 def scirc_eigenpairs(s: SkewCirculant) -> list[EigenPair]:
     """Analytic eigenpairs: value scirc_spectrum(s)[k], vector column k of H*."""
-    h_star = make_fourier_pack(s.n).h_star
-    values = scirc_spectrum(s)
-    return [EigenPair(value=values[k], vector=h_star[:, k]) for k in range(s.n)]
+    return _eigenpairs(s)
 
 
-def _folded_product(a: np.ndarray, b: np.ndarray, fold_sign: float) -> np.ndarray:
-    # full polynomial product, then x**n -> fold_sign reduction
-    if a.shape != b.shape:
-        raise ValueError(f"size mismatch: {a.shape[0]} vs {b.shape[0]}")
-    prod = np.convolve(a, b)
-    out = prod[: a.shape[0]].copy()
-    if prod.shape[0] > a.shape[0]:
-        out[: prod.shape[0] - a.shape[0]] += fold_sign * prod[a.shape[0] :]
-    return out
+def _folded_product(a: _FirstRow, b: _FirstRow) -> _FirstRow:
+    # full polynomial product, then the x**n -> wrap reduction of the family
+    if type(a) is not type(b):
+        raise TypeError(f"cannot multiply {type(a).__name__} by {type(b).__name__}")
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+    prod = np.convolve(a.coeffs, b.coeffs)
+    out = prod[: a.n].copy()
+    out[: a.n - 1] += a.wrap * prod[a.n :]
+    return type(a)(out)
 
 
 def circ_mul(a: Circulant, b: Circulant) -> Circulant:
     """Coefficient-domain product (cyclic convolution); exact over integers."""
-    return Circulant(_folded_product(a.coeffs, b.coeffs, 1.0))
+    return _folded_product(a, b)
 
 
 def scirc_mul(a: SkewCirculant, b: SkewCirculant) -> SkewCirculant:
     """Coefficient-domain product (negacyclic convolution); exact over integers."""
-    return SkewCirculant(_folded_product(a.coeffs, b.coeffs, -1.0))
+    return _folded_product(a, b)

@@ -51,11 +51,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import fourier_star_dense, make_fourier_pack, sigma_powers
+from .fourier import fourier_star_dense, make_fourier_pack
 from .circulant import (
     Circulant,
     SkewCirculant,
-    _spectrum,
+    _circulant_form,
     basic_circulant,
     basic_skew_circulant,
     circ_dense,
@@ -231,12 +231,8 @@ def cmd_spectrum(kind: str, arg: str, tol_text: str) -> CommandReport:
     coeff_norm = _norm(matrix.coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
         # finite input can still overflow here; that is rejected just below
-        if isinstance(matrix, Circulant):
-            row = matrix.coeffs
-        else:
-            row = matrix.coeffs * sigma_powers(n)
         # circ_spectrum or scirc_spectrum, with the twist formed once
-        values = _spectrum(row)
+        _, row, values = _circulant_form(matrix)
     if not np.all(np.isfinite(values)):
         raise UsageError("the spectrum of these coefficients overflows")
     bound = tol * n * max(coeff_norm, 1.0)

@@ -88,16 +88,16 @@ def r_apply(r: SpecialTridiag, x) -> np.ndarray:
 
 
 def pi_minus_pit_coeffs(n: int) -> Circulant:
-    """pi - pi^T as a circulant: first row (0, 1, 0, ..., 0, -1)."""
+    """pi - pi^T as a circulant: first row (0, 1, 0, ..., 0, -wrap), wrap = 1."""
     coeffs = _unit_shift_row(n)
-    coeffs[-1] -= 1.0
+    coeffs[-1] -= Circulant.wrap
     return Circulant(coeffs)
 
 
 def eta_minus_etat_coeffs(n: int) -> SkewCirculant:
-    """eta - eta^T as a skew-circulant: first row (0, 1, 0, ..., 0, 1)."""
+    """eta - eta^T as a skew-circulant: first row (0, 1, 0, ..., 0, -wrap), wrap = -1."""
     coeffs = _unit_shift_row(n)
-    coeffs[-1] += 1.0
+    coeffs[-1] -= SkewCirculant.wrap
     return SkewCirculant(coeffs)
 
 
@@ -122,7 +122,8 @@ def r_apply_via_relation(r: SpecialTridiag, x) -> np.ndarray:
     behind ``even_odd_split``.  The call is O(n) per vector: no FFT and no
     twist."""
     split = _split_parity(_require_length(x, r.n))
-    return _shift_difference(split.even, 1.0) + _shift_difference(split.odd, -1.0)
+    return (_shift_difference(split.even, Circulant.wrap)
+            + _shift_difference(split.odd, SkewCirculant.wrap))
 
 
 def rank_one_defects(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +142,8 @@ def restriction_spectra(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The even restriction pi - pi^T has values 2i sin(2 pi (k-1) / n) and the
     odd restriction eta - eta^T has values 2i sin((2k-1) pi / n), computed by
-    the FFT of the first row (``circ_spectrum``) and of its sigma twist
-    (``scirc_spectrum``).
+    the FFT of each first row; the skew one's ``wrap`` of -1 has
+    ``circulant._circulant_form`` twist it by sigma first.
     """
     return circ_spectrum(pi_minus_pit_coeffs(n)), scirc_spectrum(eta_minus_etat_coeffs(n))
 

@@ -124,6 +124,8 @@ def test_dense_builders_match_index_formulas(n):
     for row in _rows_for_dense_builders(n):
         c = Circulant(row)
         assert np.array_equal(circ_dense(c), c.coeffs[(j - i) % n])
+        # array_equal treats -0.0 as 0.0; the bytes keep every signed zero
+        assert circ_dense(c).tobytes() == c.coeffs[(j - i) % n].tobytes()
         s = SkewCirculant(row)
         expected = np.where(j < i, -1, 1) * s.coeffs[(j - i) % n] + 0.0
         dense = scirc_dense(s)
@@ -199,14 +201,17 @@ def test_spectrum_routes_agree():
         )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1024, 2**16])
 def test_scirc_spectrum_is_circ_spectrum_of_twisted_row(n):
-    # SCirc(a) = D Circ(sigma o a) D*, D = Diag(sigma**j): the same eigenvalues
+    # SCirc(a) = D Circ(sigma o a) D*, D = Diag(sigma**j): the same eigenvalues,
+    # bit for bit at every n.  The twist is named: numpy turns a * temporary
+    # into temporary *= a from 256 KiB on, and with FMA a*b and b*a can round
+    # differently
     rng = np.random.default_rng(500 + n)
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    np.testing.assert_array_equal(
-        scirc_spectrum(SkewCirculant(a)), circ_spectrum(Circulant(a * sigma_powers(n)))
-    )
+    twist = sigma_powers(n)
+    expected = circ_spectrum(Circulant(a * twist))
+    assert scirc_spectrum(SkewCirculant(a)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 2**16])
@@ -372,6 +377,42 @@ def test_mul_size_mismatch():
         circ_mul(Circulant([1, 2]), Circulant([1, 2, 3]))
     with pytest.raises(ValueError):
         scirc_mul(SkewCirculant([1]), SkewCirculant([1, 2]))
+
+
+def test_mixed_family_products_raise():
+    c, s = Circulant([1, 2, 3]), SkewCirculant([1, 2, 3])
+    for mul in (circ_mul, scirc_mul):
+        for a, b in ((c, s), (s, c)):
+            with pytest.raises(TypeError, match="Circulant"):
+                mul(a, b)
+
+
+_FAMILY_ORACLES = {Circulant: rolled_circulant, SkewCirculant: branch_skew_circulant}
+
+
+@pytest.mark.parametrize("family", [Circulant, SkewCirculant])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+def test_the_object_not_the_function_name_picks_the_family(family, n):
+    # circ_op(f) and scirc_op(f) give the same bytes, and both are f's own
+    # family's result
+    rng = np.random.default_rng(800 + n)
+    f, g = (family(row) for row in _rows_for_dense_builders(n)[::3])
+    x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    for circ_op, scirc_op in ((circ_dense, scirc_dense), (circ_spectrum, scirc_spectrum),
+                              (lambda f: circ_matvec(f, x), lambda f: scirc_matvec(f, x))):
+        assert circ_op(f).tobytes() == scirc_op(f).tobytes()
+    dense = circ_dense(f)
+    np.testing.assert_array_equal(dense, _FAMILY_ORACLES[family](f.coeffs))
+    np.testing.assert_allclose(circ_matvec(f, x), x @ dense.T, atol=1e-12 * n)
+    circ_pairs, scirc_pairs = circ_eigenpairs(f), scirc_eigenpairs(f)
+    for a, b in zip(circ_pairs, scirc_pairs):
+        assert a.value == b.value and a.vector.tobytes() == b.vector.tobytes()
+        assert np.linalg.norm(dense @ a.vector - a.value * a.vector) <= 1e-12 * n * max(
+            1.0, np.linalg.norm(dense))
+    products = circ_mul(f, g), scirc_mul(f, g)
+    assert [type(p) for p in products] == [family, family]
+    assert products[0].coeffs.tobytes() == products[1].coeffs.tobytes()
+    np.testing.assert_allclose(circ_dense(products[0]), dense @ circ_dense(g), atol=1e-12 * n)
 
 
 def test_generator_power_identities_small():

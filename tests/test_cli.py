@@ -24,7 +24,7 @@ from centrocirc import (
     scirc_eigenpairs,
     sigma_powers,
 )
-from centrocirc import cli
+from centrocirc import circulant, cli
 from centrocirc.cli import (
     Circulant,
     CommandReport,
@@ -642,16 +642,17 @@ _CONTROL_CASES += [("circ", 1), ("scirc", 1)]
 def test_spectrum_rejects_a_perturbed_eigenvalue(capsys, monkeypatch, kind, n):
     # negative control: the last eigenvalue moved by 1e-6 * max(1, ||c||),
     # added rather than scaled, since r-even 2 has an all-zero spectrum.  The
-    # command takes both spectra from cli._spectrum of the (twisted) first
-    # row, whose norm is ||c|| since the twist has unit modulus
-    spectrum = cli._spectrum
+    # command takes its (twisted) first row and both spectra from
+    # cli._circulant_form; the row's norm is ||c|| since the twist has unit
+    # modulus
+    form = cli._circulant_form
 
-    def perturbed(row):
-        values = spectrum(row)
+    def perturbed(matrix):
+        twist, row, values = form(matrix)
         values[-1] += 1e-6 * max(1.0, float(np.linalg.norm(row)))
-        return values
+        return twist, row, values
 
-    monkeypatch.setattr(cli, "_spectrum", perturbed)
+    monkeypatch.setattr(cli, "_circulant_form", perturbed)
     code, out, err = run_cli(capsys, *_spectrum_argv(kind, n))
     assert err == ""
     assert code == 1
@@ -665,10 +666,15 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("kind", cli.SPECTRUM_KINDS)
 def test_spectrum_builds_no_dense_circulant(capsys, monkeypatch, kind):
     # show pi / show eta / show h still build them; spectrum checks with the
-    # columns of F* alone, the skew twist going on the coefficients
+    # columns of F* alone, the skew twist going on the coefficients.  Its
+    # row and values come from circulant._circulant_form, so the builders
+    # that module reaches are refused too
     monkeypatch.setattr(cli, "circ_dense", _refuse)
     monkeypatch.setattr(cli, "scirc_dense", _refuse)
     monkeypatch.setattr(cli, "make_fourier_pack", _refuse)
+    monkeypatch.setattr(circulant, "_dense", _refuse)
+    monkeypatch.setattr(circulant, "make_fourier_pack", _refuse)
+    monkeypatch.setattr(circulant, "fourier_star_dense", _refuse)
     code, out, err = run_cli(capsys, *_spectrum_argv(kind, 1024))
     assert err == ""
     assert code == 0

@@ -1,6 +1,7 @@
 """The public surface: the names the package exports, the functions the
 benchmark's per-layer rows count, and how its result types compare."""
 
+import ast
 import inspect
 import json
 import subprocess
@@ -52,6 +53,28 @@ def test_per_layer_function_rows_name_public_functions():
         func = getattr(module, name, None)
         assert inspect.isfunction(func) and func.__module__ == module.__name__, (layer, name)
         assert not name.startswith("_")
+
+
+LAYERS = ("cli", "verify", "centro", "relation", "circulant", "fourier", "dense")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_functions_are_distinct_defs_of_their_layer(layer):
+    # the benchmark's tracer wraps each public function a layer module binds
+    # by its id, so an alias such as scirc_dense = circ_dense would merge two
+    # per-layer rows: every such function must be a def of its own there
+    module = import_module(f"centrocirc.{layer}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    defs = sorted(node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+    assert defs
+    traced = {name: obj for name, obj in vars(module).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == module.__name__}
+    assert sorted(traced) == defs
+    for name, func in traced.items():
+        assert func.__name__ == name
+    assert len({id(func) for func in traced.values()}) == len(traced)
 
 
 _ARRAY_RESULTS = {
