@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
+    SingularMatrixError,
     _ABS_EPS,
     _REL_EPS,
     _norm,
@@ -190,12 +191,10 @@ def _fold_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unfold(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """P y1 + Q y2 along the last axis: the inverse of ``_fold``."""
-    half = y2.shape[-1]
-    paired = y1[..., :half]
-    head = (paired + y2) * _ROOT_HALF
-    tail = (paired - y2) * _ROOT_HALF
-    return np.concatenate([head, y1[..., half:], tail[..., ::-1]], axis=-1)
+    """P y1 + Q y2 along the last axis, the inverse of ``_fold``: U = [P, QE] equals
+    U* = U^-1, so U (y1, E y2) is the fold of (y1, E y2), its odd half reversed."""
+    even, odd = _fold(np.concatenate([y1, y2[..., ::-1]], axis=-1))
+    return np.concatenate([even, odd[..., ::-1]], axis=-1)
 
 
 def _block_pair(x: np.ndarray, diagonal: bool):
@@ -208,7 +207,9 @@ def block_form(x):
     """The four blocks of X in the even/odd basis: (P*XP, P*XQ, Q*XP, Q*XQ).
 
     X may also be an ``(..., n, n)`` stack; the blocks are then stacks too.
-    The blocks come from the O(n^2) fold, not from P and Q.
+    The blocks come from the O(n^2) fold, not from P and Q.  The pair sums
+    are not rescaled, so a block whose pair sums pass the float limit
+    overflows.
     """
     x = _require_square(as_matrix(x, stacked=True))
     # fold the rows, then the columns of each half: (P* X) P is the
@@ -222,7 +223,14 @@ def solve_centro_symmetric(a, w) -> np.ndarray:
 
     A must be centro-symmetric to tolerance; then P*AP and Q*AQ carry the
     whole problem and z = P y1 + Q y2 recombines the half-size solutions.
-    Both reductions are folds, so the set-up is O(n^2).
+    The change of basis U = [P, QE] is its own inverse, so both reductions
+    and the recombination are folds, and the set-up is O(n^2).
+
+    Where a pair sum overflows, the solve runs once more on (A/2, w/4) and
+    doubles that solution.  Each of its pair sums is then at most about
+    ||A||_F, ||w|| or ||z||, which ``solve_dense`` needs finite, so the result
+    is finite wherever ``solve_dense``'s is.  A half-size system or solution
+    out of the float range raises SingularMatrixError, as ``solve_dense`` does.
     """
     a = as_matrix(a)
     w = as_vector(w)
@@ -230,6 +238,20 @@ def solve_centro_symmetric(a, w) -> np.ndarray:
         raise NotCentroSymmetricError("matrix is not centro-symmetric to tolerance")
     if a.shape[0] != w.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} x {w.shape}")
+    try:
+        with np.errstate(over="raise"):
+            try:
+                return _solve_folded(a, w)
+            except FloatingPointError:
+                # power-of-two scalings, so exact: A/2 (z/2) = w/4
+                return _solve_folded(a * 0.5, w * 0.25) * 2.0
+    except FloatingPointError:
+        raise SingularMatrixError("the half-size system or its solution is out of "
+                                  "the float range") from None
+
+
+def _solve_folded(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # the half-size solve of an already checked centro-symmetric system
     a11, a22 = _block_pair(a, diagonal=True)
     w1, w2 = _fold(w)
     y1 = solve_dense(a11, w1)

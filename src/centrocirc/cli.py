@@ -72,8 +72,24 @@ from .relation import (
 )
 from .verify import Metric, SUITE_NAMES, VERIFY_N_MAX, VERIFY_N_MIN, run_suite
 
-SHOW_KINDS = ("r", "pi", "eta", "exchange", "fourier", "h", "shift")
-SPECTRUM_KINDS = ("circ", "scirc", "r-even", "r-odd")
+# each lambda looks its function up per call: a wrapper patched into this module sees it
+_SHOW = {
+    "r": (2, lambda n: r_dense(SpecialTridiag(n))),
+    "pi": (2, lambda n: circ_dense(basic_circulant(n))),
+    "eta": (2, lambda n: scirc_dense(basic_skew_circulant(n))),
+    "exchange": (1, lambda n: exchange_dense(n)),
+    "fourier": (1, lambda n: fourier_star_dense(n)),
+    "h": (1, lambda n: make_fourier_pack(n).h_star),
+    "shift": (1, lambda n: lower_shift_dense(n)),
+}
+_SPECTRUM = {
+    "circ": lambda arg: Circulant(_parse_coeffs(arg)),
+    "scirc": lambda arg: SkewCirculant(_parse_coeffs(arg)),
+    "r-even": lambda arg: pi_minus_pit_coeffs(_parse_size(arg, 2, SHOW_N_MAX)),
+    "r-odd": lambda arg: eta_minus_etat_coeffs(_parse_size(arg, 2, SHOW_N_MAX)),
+}
+SHOW_KINDS = tuple(_SHOW)
+SPECTRUM_KINDS = tuple(_SPECTRUM)
 SHOW_N_MAX = 1024
 # the text of the default --seed and --tol, read like any other argument
 DEFAULT_SEED = "0"
@@ -201,28 +217,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_show(kind: str, size_text: str) -> CommandReport:
-    n_min = 2 if kind in ("r", "pi", "eta") else 1
-    n = _parse_size(size_text, n_min, SHOW_N_MAX)
-    builders = {
-        "r": lambda: r_dense(SpecialTridiag(n)),
-        "pi": lambda: circ_dense(basic_circulant(n)),
-        "eta": lambda: scirc_dense(basic_skew_circulant(n)),
-        "exchange": lambda: exchange_dense(n),
-        "fourier": lambda: fourier_star_dense(n),
-        "h": lambda: make_fourier_pack(n).h_star,
-        "shift": lambda: lower_shift_dense(n),
-    }
-    return CommandReport(command=f"show {kind}", n=n, matrix=builders[kind]())
+    least, build = _SHOW[kind]
+    n = _parse_size(size_text, least, SHOW_N_MAX)
+    return CommandReport(command=f"show {kind}", n=n, matrix=build(n))
 
 
 def cmd_spectrum(kind: str, arg: str, tol_text: str) -> CommandReport:
     tol = _parse_tol(tol_text)
-    if kind in ("circ", "scirc"):
-        coeffs = _parse_coeffs(arg)
-        matrix = Circulant(coeffs) if kind == "circ" else SkewCirculant(coeffs)
-    else:
-        n = _parse_size(arg, 2, SHOW_N_MAX)
-        matrix = pi_minus_pit_coeffs(n) if kind == "r-even" else eta_minus_etat_coeffs(n)
+    matrix = _SPECTRUM[kind](arg)
     n = matrix.n
     # column k of F* (circulant) or H* (skew) is a unit eigenvector with the
     # defining sum sqrt(n) * (c . column k) as eigenvalue; checking the FFT

@@ -11,6 +11,7 @@ from centrocirc import (
     EigenPair,
     NotCentroSkewError,
     NotCentroSymmetricError,
+    SingularMatrixError,
     SpecialTridiag,
     block_form,
     centro_split,
@@ -27,6 +28,8 @@ from centrocirc import (
     solve_centro_symmetric,
     solve_dense,
 )
+from centrocirc import centro
+from centrocirc.centro import _fold, _unfold
 from centrocirc.dense import _unitary_defect
 
 
@@ -320,6 +323,74 @@ def test_solve_centro_symmetric_rejects_unstructured():
 def test_solve_centro_symmetric_rejects_mismatched_lengths():
     with pytest.raises(ValueError, match="incompatible shapes"):
         solve_centro_symmetric(np.eye(4), np.ones(3))
+
+
+def reference_unfold(y1, y2):
+    # P y1 + Q y2 by the explicit head/tail pair formula
+    half = y2.shape[-1]
+    paired = y1[..., :half]
+    head = (paired + y2) * ROOT_HALF
+    tail = (paired - y2) * ROOT_HALF
+    return np.concatenate([head, y1[..., half:], tail[..., ::-1]], axis=-1)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_unfold_is_the_pair_formula_bit_for_bit(n, lead):
+    # U = [P, QE] is its own inverse, so the unfold runs the fold; signed
+    # zeros show that it makes the same elementwise operations as the pairs
+    rng = np.random.default_rng(500 + n + len(lead))
+    y1 = signed_zero_rich(rng, lead + (n - n // 2,))
+    y2 = signed_zero_rich(rng, lead + (n // 2,))
+    assert_same_bits(_unfold(y1, y2), reference_unfold(y1, y2))
+    x = complex_normal(rng, lead + (n,))
+    np.testing.assert_allclose(_unfold(*_fold(x)), x, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 64])
+def test_solve_centro_symmetric_is_fold_solve_unfold_bit_for_bit(n, monkeypatch):
+    # the common path runs once, unscaled: two dense solves between the folds
+    rng = np.random.default_rng(600 + n)
+    m = complex_normal(rng, (n, n))
+    a, w = (m + m[::-1, ::-1]) / 2, complex_normal(rng, n)
+    a11, a22 = (reference_fold(reference_fold(a, odd)[..., None], odd)[..., 0]
+                for odd in (False, True))
+    w1, w2 = (reference_fold(w[:, None], odd)[:, 0] for odd in (False, True))
+    y2 = solve_dense(a22, w2) if n > 1 else w2
+    want = reference_unfold(solve_dense(a11, w1), y2)
+    calls = []
+    solve_folded = centro._solve_folded
+    monkeypatch.setattr(centro, "_solve_folded",
+                        lambda *args: calls.append(1) or solve_folded(*args))
+    assert_same_bits(solve_centro_symmetric(a, w), want)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a, w", [
+    (np.eye(2), [1e308, 1e308]),
+    (np.eye(3), [1e308, 2, 1e308]),
+    (np.eye(2), [1.7e308, -1.7e308]),
+    ([[1, 0.5], [0.5, 1]], [1.5e308, 1.5e308]),
+])
+def test_solve_centro_symmetric_is_finite_where_a_pair_sum_overflows(a, w):
+    # w_1 + w_n passes the float limit; the rerun on (A/2, w/4) folds in
+    # range and doubles its solution, without a warning (warnings are errors)
+    np.testing.assert_array_equal(solve_centro_symmetric(a, w), solve_dense(a, w))
+
+
+@pytest.mark.parametrize("a, w", [
+    # z = 1.8e308: the doubled solution of the rerun overflows
+    (0.5 * np.eye(2), [0.9e308, 0.9e308]),
+    # z = 3.4e308: the rerun's half-size solution overflows in solve_dense
+    (0.5 * np.eye(2), [1.7e308, 1.7e308]),
+    # P*AP = [2.9e308]: the rerun's fold of A/2 still overflows
+    ([[1.5e308, 1.4e308], [1.4e308, 1.5e308]], [1, 1]),
+])
+def test_solve_centro_symmetric_out_of_range_raises_like_solve_dense(a, w):
+    # a ValueError subclass, never FloatingPointError or a warning
+    for solve in (solve_centro_symmetric, solve_dense):
+        with pytest.raises(SingularMatrixError):
+            solve(a, w)
 
 
 def test_reflect_eigenpair_negates_value_and_flips_vector():

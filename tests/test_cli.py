@@ -292,6 +292,34 @@ def test_unknown_kind_or_suite_exits_2(capsys, argv):
     assert "error: argument " in err and "invalid choice: 'nope'" in err
 
 
+def test_kind_tables_keep_the_listed_order():
+    # the order is printed in usage errors and --help
+    assert cli.SHOW_KINDS == ("r", "pi", "eta", "exchange", "fourier", "h", "shift")
+    assert cli.SPECTRUM_KINDS == ("circ", "scirc", "r-even", "r-odd")
+
+
+@pytest.mark.parametrize("kind", cli.SHOW_KINDS)
+def test_show_least_size_is_the_builders_own(kind):
+    # the CLI's floor for a kind is the library's: its builder returns an
+    # n x n matrix at the least size and raises one below
+    least, build = cli._SHOW[kind]
+    assert build(least).shape == (least, least)
+    with pytest.raises(ValueError):
+        build(least - 1)
+
+
+@pytest.mark.parametrize("argv, name", [(("show", "fourier", "3"), "fourier_star_dense"),
+                                        (("spectrum", "r-even", "4"), "pi_minus_pit_coeffs")])
+def test_kind_tables_look_their_functions_up_per_call(capsys, monkeypatch, argv, name):
+    # a wrapper put into cli's namespace, as the benchmark's tracer does,
+    # sees the call; a table holding the function objects would bypass it
+    calls = []
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or original(*args))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls
+
+
 def test_show_takes_no_tol(capsys):
     # argparse rejects the option before any command runs
     code, out, err = run_cli(capsys, "show", "r", "3", "--tol", "1e-3")
