@@ -107,8 +107,11 @@ def solve_dense(a, w) -> np.ndarray:
     ``||A^-1|| >= ||z|| / ||w||``, that failure shows ``||A^-1||`` above
     ``1 / (1e-10 * max(1, ||A||_F))``.  The norms overflow only when their
     value does, so a NaN z always fails and an infinite z fails unless
-    ``||w||`` is infinite too.  With w = 0 the solution is z = 0, which solves
-    A z = 0 for every A, so only an exactly zero pivot raises.
+    ``||w||`` is infinite too.  Where the norm of a finite z overflows, the
+    test runs again on z / 2 and w / 2, a power-of-two scaling and so exact,
+    so a z whose norm is below twice the float limit is decided as any
+    other.  With w = 0 the solution is z = 0, which solves A z = 0 for every
+    A, so only an exactly zero pivot raises.
     """
     a = _require_square(as_matrix(a))
     w = as_vector(w)
@@ -118,8 +121,11 @@ def solve_dense(a, w) -> np.ndarray:
         z = np.linalg.solve(a, w)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is singular") from None
+    z_norm, w_norm = _norm(z), _norm(w)
+    if math.isinf(z_norm) and np.all(np.isfinite(z)):
+        z_norm, w_norm = _norm(z * 0.5), _norm(w * 0.5)
     # Python floats: an infinite product or 0 * inf (NaN) warns nowhere, and
     # the comparison still decides
-    if not _norm(z) * (_ABS_EPS * max(1.0, _norm(a))) <= _norm(w):
+    if not z_norm * (_ABS_EPS * max(1.0, _norm(a))) <= w_norm:
         raise SingularMatrixError("matrix is singular to tolerance")
     return z

@@ -5,8 +5,19 @@ that is zero except for -1 in the (1,1) corner and +1 in the (n,n) corner.
 It is centro-skew, and it acts as the circulant ``pi - pi^T`` on even
 vectors and as the skew-circulant ``eta - eta^T`` on odd vectors, where
 ``pi`` is the cyclic shift and ``eta`` the shift that negates the entry it
-wraps.  Both restrictions are applied as those shifts, in O(n).  The
-defects
+wraps.  Both restrictions are applied as those shifts, in O(n).  Both are
+centro-skew, like ``R_n``: E (pi - pi^T) E = -(pi - pi^T) and
+E (eta - eta^T) E = -(eta - eta^T).  So each swaps parity:
+(pi - pi^T) E_plus x is odd and (eta - eta^T) E_minus x is even, and the
+trailing half of each product mirrors its leading half.  E_plus x is
+palindromic bit for bit, since x_i + x_j and x_j + x_i are one sum, so
+``r_apply_via_relation`` forms it on its leading entries only and reads the
+neighbours of each trailing output entry from there.  E_minus x is
+antipalindromic only up to the sign of zero, since x_i - x_j and
+x_j - x_i are both +0 where x_i = x_j, so a negated mirror would change
+signs of zero; it is formed at full length.  Each output entry is then the
+same difference of the same neighbours as at full length, bit for bit.
+The defects
 
     D_plus  = R - (pi - pi^T)  = (e_n + e_1)(e_n - e_1)^T
     D_minus = R - (eta - eta^T) = (e_n - e_1)(e_n + e_1)^T
@@ -35,7 +46,7 @@ from .circulant import (
     scirc_dense,
     scirc_spectrum,
 )
-from .centro import _split_parity
+from .centro import _half
 
 
 # relative tolerance of the nilpotency check
@@ -78,11 +89,12 @@ def lower_shift_dense(n: int) -> np.ndarray:
 def r_apply(r: SpecialTridiag, x) -> np.ndarray:
     """O(n) stencil: y_i = x_{i+1} - x_{i-1}, with the missing neighbours at
     the two ends replaced by the boundary value itself.  x may be an
-    ``(..., n)`` stack; the stencil runs along the last axis."""
+    ``(..., n)`` stack; the stencil runs along the last axis.  Beyond the
+    check of x, the call allocates only its output."""
     x = _require_length(x, r.n)
     y = np.empty(x.shape, dtype=np.complex128)
     y[..., 0] = x[..., 1] - x[..., 0]
-    y[..., 1:-1] = x[..., 2:] - x[..., :-2]
+    np.subtract(x[..., 2:], x[..., :-2], out=y[..., 1:-1])
     y[..., -1] = x[..., -1] - x[..., -2]
     return y
 
@@ -101,29 +113,43 @@ def eta_minus_etat_coeffs(n: int) -> SkewCirculant:
     return SkewCirculant(coeffs)
 
 
-def _shift_difference(y: np.ndarray, wrap: float) -> np.ndarray:
-    # (g - g^T) y along the last axis for the basic generator g, pi (wrap 1)
-    # or eta (wrap -1): y_{i+1} - y_{i-1}, the neighbour across either end
-    # taken from the other end times wrap
-    out = np.empty_like(y)
-    out[..., 1:-1] = y[..., 2:] - y[..., :-2]
-    out[..., 0] = y[..., 1] - wrap * y[..., -1]
-    out[..., -1] = wrap * y[..., 0] - y[..., -2]
-    return out
-
-
 def r_apply_via_relation(r: SpecialTridiag, x) -> np.ndarray:
     """Apply R_n through its even/odd restrictions: pi - pi^T acts on the
     even component and eta - eta^T on the odd component, each as shifts of
-    its generator.  x may be an ``(..., n)`` stack, applied along the last
-    axis.
+    its generator, y_i = y_{i+1} - y_{i-1} with the neighbour across either
+    end taken from the other end times the generator's wrap.  x may be an
+    ``(..., n)`` stack, applied along the last axis.
 
-    x is checked once, here, and split by index reversal with the kernel
-    behind ``even_odd_split``.  The call is O(n) per vector: no FFT and no
-    twist."""
-    split = _split_parity(_require_length(x, r.n))
-    return (_shift_difference(split.even, Circulant.wrap)
-            + _shift_difference(split.odd, SkewCirculant.wrap))
+    x is checked once, here, and paired by index reversal with the kernel
+    behind ``even_odd_split``.  The even half is formed on its leading
+    ceil(n/2) + 1 entries only, which give both halves of its product (see
+    the module docstring).  The call is O(n) per vector, with no FFT and no
+    twist.  Beyond the check of x, it allocates the output and one buffer
+    of n + 3 entries per vector, which holds the odd half, then the even
+    half's leading entries and their differences."""
+    x = _require_length(x, r.n)
+    n = r.n
+    lead_len, trail_len = n - n // 2, n // 2
+    y = np.empty(x.shape, dtype=np.complex128)
+    # a half sits between slots for the neighbours across the two wraps,
+    # each that neighbour's value times the wrap, as at full length
+    buf = np.empty(x.shape[:-1] + (n + 3,), dtype=np.complex128)
+    # (eta - eta^T) E_minus x, at full length, straight into y
+    odd = _half(x, odd=True, out=buf[..., 1:n + 1])
+    np.multiply(odd[..., -1], SkewCirculant.wrap, out=buf[..., 0])
+    np.multiply(odd[..., 0], SkewCirculant.wrap, out=buf[..., n + 1])
+    np.subtract(buf[..., 2:n + 2], buf[..., :n], out=y)
+    # (pi - pi^T) E_plus x, added in: entry n-1-i is the difference of the
+    # mirrored neighbours of entry i, read from the leading entries
+    even = _half(x, odd=False, out=buf[..., 1:lead_len + 2])
+    np.multiply(even[..., 0], Circulant.wrap, out=buf[..., 0])
+    diff = buf[..., lead_len + 2:]
+    lead, trail = y[..., :lead_len], y[..., :-trail_len - 1:-1]
+    np.subtract(buf[..., 2:lead_len + 2], buf[..., :lead_len], out=diff[..., :lead_len])
+    np.add(lead, diff[..., :lead_len], out=lead)
+    np.subtract(buf[..., :trail_len], buf[..., 2:trail_len + 2], out=diff[..., :trail_len])
+    np.add(trail, diff[..., :trail_len], out=trail)
+    return y
 
 
 def rank_one_defects(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -105,6 +105,19 @@ def test_solve_dense_solves_large_scale():
     np.testing.assert_allclose(z, np.full(2, 1e-200), rtol=1e-15)
 
 
+def test_solve_dense_decides_a_finite_solution_whose_norm_overflows():
+    # z = [1.5e308, 1.5e308] is finite but ||z|| = 2.1e308 is not: the floor
+    # test runs again on z / 2 and w / 2, with no warning
+    z = solve_dense(0.5 * np.eye(2), [0.75e308, 0.75e308])
+    np.testing.assert_array_equal(z, [1.5e308, 1.5e308])
+    # the rerun still rejects: ||z / 2|| * 1e-10 = 1.1e298 > ||w / 2|| = 1.1e8
+    with pytest.raises(SingularMatrixError):
+        solve_dense(1e-300 * np.eye(2), [1.5e8, 1.5e8])
+    # an infinite z is not rescaled and fails against a finite ||w||
+    with pytest.raises(SingularMatrixError):
+        solve_dense(1e-300 * np.eye(2), [1e10, 1e10])
+
+
 def test_solve_dense_zero_right_hand_side():
     # z = 0 solves A z = 0 for every A: only an exactly zero pivot raises
     zero = np.zeros(4)

@@ -1,6 +1,9 @@
 """The near-Toeplitz operator R_n: decomposition, defects, sign pattern,
 nilpotent scaling."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,14 +181,105 @@ def test_relation_paths_agree(xs):
 
 def test_relation_path_stays_finite_where_the_split_sum_overflows():
     # x - Ex overflows at the ends, though the odd half is x itself; only the
-    # middle entry, -2e308, is out of range, on both paths
+    # middle entry, -2e308, is out of range, on both paths.  The odd half
+    # takes the halved-input fallback, and both keep the full-length bits
     r = SpecialTridiag(3)
     x = [1e308, 0, -1e308]
     with np.errstate(over="ignore"):
         direct = r_apply(r, x)
         via = r_apply_via_relation(r, x)
+        relation_reference = _relation_reference(x)
+        stencil_reference = _stencil_reference(x)
     np.testing.assert_array_equal(direct, [-1e308, -np.inf, -1e308])
-    assert via.tobytes() == direct.tobytes()
+    assert via.tobytes() == direct.tobytes() == relation_reference.tobytes()
+    assert direct.tobytes() == stencil_reference.tobytes()
+
+
+def _stencil_reference(x):
+    # the stencil with its interior formed as a temporary, then copied
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.empty(x.shape, dtype=np.complex128)
+    y[..., 0] = x[..., 1] - x[..., 0]
+    y[..., 1:-1] = x[..., 2:] - x[..., :-2]
+    y[..., -1] = x[..., -1] - x[..., -2]
+    return y
+
+
+def _shift_difference_reference(y, wrap):
+    # (g - g^T) y at full length for the generator g of the given wrap
+    out = np.empty_like(y)
+    out[..., 1:-1] = y[..., 2:] - y[..., :-2]
+    out[..., 0] = y[..., 1] - wrap * y[..., -1]
+    out[..., -1] = wrap * y[..., 0] - y[..., -2]
+    return out
+
+
+def _relation_reference(x):
+    # both restrictions applied at full length to both full-length halves
+    split = even_odd_split(x)
+    return (_shift_difference_reference(split.even, 1.0)
+            + _shift_difference_reference(split.odd, -1.0))
+
+
+def _signed_zero_rich(rng, shape):
+    # real and imaginary parts from {+0, -0, 1, -1}, zeros twice as likely
+    parts = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], size=(2,) + shape)
+    return parts[0] + 1j * parts[1]
+
+
+def _zero_sign_patterns(n):
+    # every x in {+0, -0, 1}^n, also rotated into the imaginary part: the
+    # mirror of x_i - x_j is not its negation where x_i = x_j, so a trailing
+    # half formed by negating the leading one gets signs of zero wrong here
+    grid = np.array(list(itertools.product([0.0, -0.0, 1.0], repeat=n)))
+    return np.concatenate([grid + 0j, grid * (1 - 1j), 1j * grid + grid[::-1]])
+
+
+@pytest.mark.parametrize("n", list(range(2, 71)) + [1000, 1001, 4097])
+def test_r_kernels_keep_the_full_length_bits(n):
+    # the leading-half route and the in-place stencil write every byte, signed
+    # zeros included, that the full-length computations write
+    r = SpecialTridiag(n)
+    rng = np.random.default_rng(n)
+    inputs = [_zero_sign_patterns(n)] if n < 8 else []
+    for shape in ((n,), (2, 3, n)):
+        gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        inputs += [gauss, _signed_zero_rich(rng, shape), 1e307 * gauss]
+    for x in inputs:
+        assert r_apply(r, x).tobytes() == _stencil_reference(x).tobytes()
+        assert r_apply_via_relation(r, x).tobytes() == _relation_reference(x).tobytes()
+
+
+@pytest.mark.parametrize("n", list(range(2, 65)) + [127, 128, 1023, 1024])
+def test_both_r_paths_equal_dense_r_on_the_unit_basis(n):
+    # every intermediate is a dyadic rational (a half of 0 or 1, or a
+    # difference of such halves), so the identity
+    # R_n = (pi - pi^T) E_plus + (eta - eta^T) E_minus holds bit for bit at n
+    r = SpecialTridiag(n)
+    basis = np.eye(n, dtype=np.complex128)
+    columns = r_dense(r).T.tobytes()
+    assert r_apply(r, basis).tobytes() == columns
+    assert r_apply_via_relation(r, basis).tobytes() == columns
+
+
+@pytest.mark.parametrize("func, budget", [(r_apply, 1.1), (r_apply_via_relation, 2.1)],
+                         ids=["r_apply", "r_apply_via_relation"])
+def test_r_kernels_allocate_within_budget(func, budget):
+    # peak traced allocation of one call, as a multiple of x.nbytes: the
+    # output, plus for the relation route one buffer of n + 3 entries
+    n = 2 ** 16
+    r = SpecialTridiag(n)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    func(r, x)
+    tracemalloc.start()
+    try:
+        y = func(r, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == x.shape
+    assert peak <= budget * x.nbytes
 
 
 def test_rank_one_defects_frozen_4():
