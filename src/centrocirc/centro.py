@@ -234,11 +234,10 @@ def solve_centro_symmetric(a, w) -> np.ndarray:
     The change of basis U = [P, QE] is its own inverse, so both reductions
     and the recombination are folds, and the set-up is O(n^2).
 
-    Where a pair sum overflows, the solve runs once more on (A/2, w/4) and
-    doubles that solution.  Each of its pair sums is then at most about
-    ||A||_F, ||w|| or ||z||, which ``solve_dense`` needs finite, so the result
-    is finite wherever ``solve_dense``'s is.  A half-size system or solution
-    out of the float range raises SingularMatrixError, as ``solve_dense`` does.
+    Where the half-size solve overflows or one of its systems fails the
+    singularity floor, ``solve_dense(a, w)`` decides instead, with its
+    solution or its SingularMatrixError, so the result is finite wherever
+    ``solve_dense``'s is.
     """
     a = as_matrix(a)
     w = as_vector(w)
@@ -248,14 +247,11 @@ def solve_centro_symmetric(a, w) -> np.ndarray:
         raise ValueError(f"incompatible shapes {a.shape} x {w.shape}")
     try:
         with np.errstate(over="raise"):
-            try:
-                return _solve_folded(a, w)
-            except FloatingPointError:
-                # power-of-two scalings, so exact: A/2 (z/2) = w/4
-                return _solve_folded(a * 0.5, w * 0.25) * 2.0
-    except FloatingPointError:
-        raise SingularMatrixError("the half-size system or its solution is out of "
-                                  "the float range") from None
+            return _solve_folded(a, w)
+    except (FloatingPointError, SingularMatrixError):
+        pass
+    # outside the except block, so solve_dense's own error is raised unchained
+    return solve_dense(a, w)
 
 
 def _solve_folded(a: np.ndarray, w: np.ndarray) -> np.ndarray:

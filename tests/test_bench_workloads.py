@@ -5,7 +5,9 @@ headers, the verify metric names of ``VERIFY_METRICS``, each metric within
 its bound, and each numerical result against an independent reference.
 Running one full list per ``BENCHMARK.json`` workload here makes a renamed
 metric, a changed header or a violated bound fail the tests, not a
-benchmark run.
+benchmark run.  No benchmark solve may fall back to the full LU either: the
+oracles would still pass, while the solve would run one full-size LU in
+place of two half-size ones.
 """
 
 import json
@@ -18,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import centrocirc.cli  # noqa: E402,F401  (the worker calls it through sys.modules)
+from centrocirc import centro  # noqa: E402
 
 import workloads  # noqa: E402
 from worker import run_requests  # noqa: E402
@@ -26,9 +29,45 @@ BENCHMARK_WORKLOADS = [w["name"] for w in
                        json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
+def _count_solves(monkeypatch) -> dict:
+    # calls of centro's half-size kernel, and calls of centro's solve_dense
+    # made outside it: solve_centro_symmetric's full-LU fallback is the only
+    # such call site
+    counts = {"kernel": 0, "fallback": 0}
+    depth = [0]
+    kernel, dense = centro._solve_folded, centro.solve_dense
+
+    def counted_kernel(*args):
+        counts["kernel"] += 1
+        depth[0] += 1
+        try:
+            return kernel(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_dense(*args):
+        if not depth[0]:
+            counts["fallback"] += 1
+        return dense(*args)
+
+    monkeypatch.setattr(centro, "_solve_folded", counted_kernel)
+    monkeypatch.setattr(centro, "solve_dense", counted_dense)
+    return counts
+
+
 @pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
 def test_benchmark_workload_passes_its_oracles(workload):
     requests = workloads.build(workload, 1)
     result = run_requests(requests)
     assert result["attempted"] == len(requests) >= 100
     assert result["failed"] == 0, result["failures"]
+
+
+def test_no_benchmark_solve_falls_back_to_the_full_lu(monkeypatch):
+    solves = [r for r in workloads.build("structured_large", 1)
+              if r.func == "centro.solve_centro_symmetric"]
+    assert len(solves) == len(workloads.SOLVE_SIZES) == 4
+    counts = _count_solves(monkeypatch)
+    result = run_requests(solves)
+    assert result["failed"] == 0, result["failures"]
+    assert counts == {"kernel": len(solves), "fallback": 0}

@@ -373,17 +373,17 @@ def test_solve_centro_symmetric_is_fold_solve_unfold_bit_for_bit(n, monkeypatch)
     ([[1, 0.5], [0.5, 1]], [1.5e308, 1.5e308]),
 ])
 def test_solve_centro_symmetric_is_finite_where_a_pair_sum_overflows(a, w):
-    # w_1 + w_n passes the float limit; the rerun on (A/2, w/4) folds in
-    # range and doubles its solution, without a warning (warnings are errors)
+    # w_1 + w_n passes the float limit, so the half-size solve overflows and
+    # the full LU answers, without a warning (warnings are errors)
     np.testing.assert_array_equal(solve_centro_symmetric(a, w), solve_dense(a, w))
 
 
 @pytest.mark.parametrize("a, w", [
-    # z = 1.8e308: the doubled solution of the rerun overflows
+    # z = 1.8e308: the full solution is out of the float range
     (0.5 * np.eye(2), [0.9e308, 0.9e308]),
-    # z = 3.4e308: the rerun's half-size solution overflows in solve_dense
+    # z = 3.4e308: the full solution overflows in solve_dense
     (0.5 * np.eye(2), [1.7e308, 1.7e308]),
-    # P*AP = [2.9e308]: the rerun's fold of A/2 still overflows
+    # P*AP = [2.9e308]: the fold of A overflows, and so does ||A||_F
     ([[1.5e308, 1.4e308], [1.4e308, 1.5e308]], [1, 1]),
 ])
 def test_solve_centro_symmetric_out_of_range_raises_like_solve_dense(a, w):
@@ -391,6 +391,66 @@ def test_solve_centro_symmetric_out_of_range_raises_like_solve_dense(a, w):
     for solve in (solve_centro_symmetric, solve_dense):
         with pytest.raises(SingularMatrixError):
             solve(a, w)
+
+
+def block_floor_system():
+    # A = [[p, q], [q, p]] with P*AP = p + q = 1e-11 and Q*AQ = p - q = 1, and
+    # w with P*w = 1e-10 and Q*w = 1: only the even half-size system fails
+    # the singularity floor, while the full system passes it
+    p, q = (1e-11 + 1) / 2, (1e-11 - 1) / 2
+    return np.array([[p, q], [q, p]]), np.array([1e-10 + 1, 1e-10 - 1]) * ROOT_HALF
+
+
+@pytest.mark.parametrize("a, w", [
+    # y1 = 2.1e308: the half-size solution overflows inside solve_dense
+    (0.5 * np.eye(2), np.array([0.75e308, 0.75e308])),
+    block_floor_system(),
+], ids=["half-size-solution-overflows", "even-block-below-the-floor"])
+def test_solve_centro_symmetric_is_solve_dense_where_the_half_size_solve_fails(a, w):
+    with pytest.raises(SingularMatrixError):
+        with np.errstate(over="raise"):
+            centro._solve_folded(a, w)
+    assert_same_bits(solve_centro_symmetric(a, w), solve_dense(a, w))
+
+
+def outcome(solve, *args):
+    # (the result, None) or (None, the exception)
+    try:
+        return solve(*args), None
+    except (ValueError, FloatingPointError) as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+def test_solve_centro_symmetric_is_finite_wherever_solve_dense_is(n):
+    # each draw at modulus 1, then A and w scaled apart by powers of two from
+    # the subnormal range to the float limit; warnings are errors
+    rng = np.random.default_rng(700 + n)
+    powers = [2.0 ** k for k in (-1070, -600, 0, 600, 1000, 1023)]
+    for _ in range(4):
+        m = complex_normal(rng, (n, n))
+        a0, w0 = (m + m[::-1, ::-1]) / 2, complex_normal(rng, n)
+        a0, w0 = a0 / np.max(np.abs(a0)), w0 / np.max(np.abs(w0))
+        for a, w in ((a0 * sa, w0 * sw) for sa in powers for sw in powers):
+            z, error = outcome(solve_centro_symmetric, a, w)
+            z_dense, dense_error = outcome(solve_dense, a, w)
+            with np.errstate(over="raise"):
+                z_folded, folded_error = outcome(centro._solve_folded, a, w)
+            assert not isinstance(error, FloatingPointError)
+            if dense_error is None:
+                assert error is None and np.all(np.isfinite(z))
+            if folded_error is not None:
+                # the full LU decides, its answer or its own unchained error
+                assert isinstance(folded_error, (FloatingPointError, SingularMatrixError))
+                if dense_error is None:
+                    assert_same_bits(z, z_dense)
+                else:
+                    assert type(error) is type(dense_error)
+                    assert str(error) == str(dense_error)
+                    assert error.__context__ is None and error.__cause__ is None
+            else:
+                assert error is None
+                assert_same_bits(z, z_folded)
 
 
 def test_reflect_eigenpair_negates_value_and_flips_vector():

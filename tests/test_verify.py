@@ -129,9 +129,10 @@ def test_empty_range_or_sample_set_raises(run):
 
 
 # Pretty reports of ``verify {relation,centro} 2..12 --seed 5`` as printed by
-# the per-sample suites, before they were evaluated as stacks.  Two values
-# may move: folding an exactly centro-symmetric matrix cancels bit for bit,
-# and the half-size solve rounds differently.  Their names and bounds may not.
+# the per-sample suites, before they were evaluated as stacks.  One value may
+# move, as the half-size solve rounds differently; its name and bound may not.
+# The block structure residual is now exactly 0: folding an exactly
+# centro-symmetric matrix cancels bit for bit.
 PINNED_REPORTS = {
     "relation": """\
 verify relation  (n = 2..12, seed = 5)
@@ -144,11 +145,11 @@ status: pass
   max_projection_residual = 1.330081e-16  (bound 1.000000e-12, ok)
   max_multiplication_table_residual = 6.608434e-17  (bound 1.000000e-11, ok)
   max_action_parity_residual = 7.943397e-17  (bound 1.000000e-12, ok)
-  max_block_structure_residual = 9.478126e-17  (bound 1.000000e-12, ok)
+  max_block_structure_residual = 0.000000e+00  (bound 1.000000e-12, ok)
   max_solution_decomposition_residual = 2.377304e-16  (bound 1.000000e-12, ok)
   max_half_vs_full_solve_difference = 7.752730e-16  (bound 1.000000e-08, ok)""",
 }
-UNPINNED_VALUES = ("max_block_structure_residual", "max_half_vs_full_solve_difference")
+UNPINNED_VALUES = ("max_half_vs_full_solve_difference",)
 
 
 @pytest.mark.parametrize("suite", sorted(PINNED_REPORTS))
@@ -164,6 +165,17 @@ def test_pretty_report_is_pinned(capsys, suite):
             assert re.fullmatch(re.escape(head) + r" = \S+" + re.escape(tail), line)
         else:
             assert line == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_metrics_of_exact_halves_are_exactly_zero(seed):
+    # a half is formed from x_i + x_j, which is bitwise x_j + x_i, so the
+    # halves are exactly palindromic and their defects cancel to exactly 0
+    relation = relation_suite(VERIFY_N_MIN, VERIFY_N_MAX, np.random.default_rng(seed))
+    assert _metric(relation, "max_defect_on_projected_parts").value == 0.0
+    centro_metrics = centro_suite(VERIFY_N_MIN, VERIFY_N_MAX, np.random.default_rng(seed),
+                                  samples=10)
+    assert _metric(centro_metrics, "max_block_structure_residual").value == 0.0
 
 
 def _metric(metrics, name):
@@ -310,7 +322,7 @@ CENTRO_CONTROLS = {
     "max_action_parity_residual": ("_split_centro", _adjoint_split, _nan_centro_split),
     "max_block_structure_residual": ("_split_centro", _adjoint_split, _nan_centro_split),
     "max_solution_decomposition_residual": ("_split_centro", _adjoint_split, _nan_centro_split),
-    "max_half_vs_full_solve_difference": ("solve_centro_symmetric", _perturbed_half_solve,
+    "max_half_vs_full_solve_difference": ("_solve_folded", _perturbed_half_solve,
                                           _nan_half_solve),
 }
 CENTRO_CASES = [
@@ -327,6 +339,20 @@ def test_centro_metric_rejects_known_bad_input(monkeypatch, metric, name, bad, n
     monkeypatch.setattr(verify, name, bad)
     metrics = centro_suite(n, n, np.random.default_rng(n), samples=2)
     assert not _metric(metrics, metric).ok
+
+
+@pytest.mark.parametrize("n", VERIFY_SIZES)
+def test_centro_suite_raises_on_a_half_size_solve_from_the_wrong_blocks(monkeypatch, n):
+    # the off-diagonal blocks in place of the diagonal ones: singular at even
+    # n, not square at odd n.  The public solver would fall back to the full
+    # LU and pass, so this fails unless the suite runs the kernel itself
+    block_pair = centro._block_pair
+    monkeypatch.setattr(centro, "_block_pair",
+                        lambda x, diagonal: block_pair(x, diagonal=not diagonal))
+    expected = (pytest.raises(SingularMatrixError) if n % 2 == 0
+                else pytest.raises(ValueError, match="expected a square matrix"))
+    with expected:
+        centro_suite(n, n, np.random.default_rng(n), samples=2)
 
 
 def _reject_constant(name):
