@@ -1,5 +1,6 @@
 """The named verification suites behind the command-line tool."""
 
+import dataclasses
 import functools
 import json
 import re
@@ -128,26 +129,26 @@ def test_empty_range_or_sample_set_raises(run):
         run()
 
 
-# Pretty reports of ``verify {relation,centro} 2..12 --seed 5`` as printed by
-# the per-sample suites, before they were evaluated as stacks.  One value may
-# move, as the half-size solve rounds differently; its name and bound may not.
-# The block structure residual is now exactly 0: folding an exactly
-# centro-symmetric matrix cancels bit for bit.
+# Pretty reports of ``verify {relation,centro} 2..12 --seed 5``.  One value
+# may move, as the half-size solve rounds differently; its name and bound may
+# not.  The exact checks read 0 against a bound of 0: the defect closed forms
+# on halves that are bitwise (anti)palindromic, and the five structural centro
+# checks on integer draws.
 PINNED_REPORTS = {
     "relation": """\
 verify relation  (n = 2..12, seed = 5)
 status: pass
   max_relation_residual_over_n_normx = 8.095729e-17  (bound 1.000000e-10, ok)
-  max_defect_on_projected_parts = 0.000000e+00  (bound 1.000000e-12, ok)""",
+  max_defect_on_projected_parts = 0.000000e+00  (bound 0.000000e+00, ok)""",
     "centro": """\
 verify centro  (n = 2..12, seed = 5)
 status: pass
-  max_projection_residual = 1.330081e-16  (bound 1.000000e-12, ok)
-  max_multiplication_table_residual = 6.608434e-17  (bound 1.000000e-11, ok)
-  max_action_parity_residual = 7.943397e-17  (bound 1.000000e-12, ok)
-  max_block_structure_residual = 0.000000e+00  (bound 1.000000e-12, ok)
-  max_solution_decomposition_residual = 2.377304e-16  (bound 1.000000e-12, ok)
-  max_half_vs_full_solve_difference = 7.752730e-16  (bound 1.000000e-08, ok)""",
+  max_projection_residual = 0.000000e+00  (bound 0.000000e+00, ok)
+  max_multiplication_table_residual = 0.000000e+00  (bound 0.000000e+00, ok)
+  max_action_parity_residual = 0.000000e+00  (bound 0.000000e+00, ok)
+  max_block_structure_residual = 0.000000e+00  (bound 0.000000e+00, ok)
+  max_solution_decomposition_residual = 0.000000e+00  (bound 0.000000e+00, ok)
+  max_half_vs_full_solve_difference = 8.940133e-16  (bound 1.000000e-08, ok)""",
 }
 UNPINNED_VALUES = ("max_half_vs_full_solve_difference",)
 
@@ -167,15 +168,28 @@ def test_pretty_report_is_pinned(capsys, suite):
             assert line == expected
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+CENTRO_EXACT_METRICS = ("max_projection_residual", "max_multiplication_table_residual",
+                        "max_action_parity_residual", "max_block_structure_residual",
+                        "max_solution_decomposition_residual")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_metrics_of_exact_halves_are_exactly_zero(seed):
     # a half is formed from x_i + x_j, which is bitwise x_j + x_i, so the
-    # halves are exactly palindromic and their defects cancel to exactly 0
+    # halves are exactly palindromic and their defects cancel to exactly 0;
+    # on integer draws every sum and product of the centro checks is exact
     relation = relation_suite(VERIFY_N_MIN, VERIFY_N_MAX, np.random.default_rng(seed))
     assert _metric(relation, "max_defect_on_projected_parts").value == 0.0
     centro_metrics = centro_suite(VERIFY_N_MIN, VERIFY_N_MAX, np.random.default_rng(seed),
                                   samples=10)
-    assert _metric(centro_metrics, "max_block_structure_residual").value == 0.0
+    assert [(m.name, m.value, m.bound) for m in centro_metrics[:5]] == [
+        (name, 0.0, 0.0) for name in CENTRO_EXACT_METRICS]
+
+
+def test_centro_checks_stay_exact_beyond_the_command_line_cap():
+    metrics = centro_suite(200, 200, np.random.default_rng(0), samples=3)
+    assert [(m.name, m.value) for m in metrics[:5]] == [
+        (name, 0.0) for name in CENTRO_EXACT_METRICS]
 
 
 def _metric(metrics, name):
@@ -341,6 +355,43 @@ def test_centro_metric_rejects_known_bad_input(monkeypatch, metric, name, bad, n
     assert not _metric(metrics, metric).ok
 
 
+def _one_ulp_off(split, half):
+    # the split with one half scaled by 1 + 2^-52: each nonzero entry moves by
+    # an ulp or two, which no round-off bound can tell from round-off
+    def scaled(x):
+        parts = split(x)
+        return dataclasses.replace(parts, **{half: getattr(parts, half) * (1 + 2.0 ** -52)})
+    return scaled
+
+
+def _swapped_centro_split(x):
+    parts = centro._split_centro(x)
+    return CentroSplit(sym=parts.skew, skew=parts.sym)
+
+
+# (the metric, the name in verify to replace, a stand-in that only a bound of
+# 0 rejects, or a swap that only block structure sees: products of the
+# swapped halves keep the parities of the multiplication table)
+EXACT_CONTROLS = [
+    pytest.param(metric, name, _one_ulp_off(getattr(centro, name), half),
+                 id=f"{name}-{half}-ulp")
+    for metric, name, halves in (("max_projection_residual", "_split_parity", ("even", "odd")),
+                                 ("max_multiplication_table_residual", "_split_centro",
+                                  ("sym", "skew")))
+    for half in halves
+] + [pytest.param("max_block_structure_residual", "_split_centro", _swapped_centro_split,
+                  id="_split_centro-swapped")]
+
+
+@pytest.mark.parametrize("n", VERIFY_SIZES)
+@pytest.mark.parametrize("metric,name,bad", EXACT_CONTROLS)
+def test_exact_centro_metric_rejects_a_one_ulp_or_swapped_split(monkeypatch, metric, name,
+                                                                 bad, n):
+    monkeypatch.setattr(verify, name, bad)
+    metrics = centro_suite(n, n, np.random.default_rng(n), samples=2)
+    assert not _metric(metrics, metric).ok
+
+
 @pytest.mark.parametrize("n", VERIFY_SIZES)
 def test_centro_suite_raises_on_a_half_size_solve_from_the_wrong_blocks(monkeypatch, n):
     # the off-diagonal blocks in place of the diagonal ones: singular at even
@@ -406,51 +457,42 @@ def _reference_centro_suite(n, rng):
     chunk = max(1, CENTRO_CHUNK_ENTRIES // (n * n))
     for start in range(0, CENTRO_SAMPLES, chunk):
         k = min(chunk, CENTRO_SAMPLES - start)
-        draws = rng.standard_normal((k, 2 * n + 4 * n * n))
+        draws = rng.integers(-1024, 1025, (k, 2 * n + 4 * n * n), dtype=np.int32)
         x = draws[:, :n] + 1j * draws[:, n:2 * n]
         split = even_odd_split(x)
-        scale = np.maximum(norms(x), 1e-300)
         of_even, of_odd = even_odd_split(split.even), even_odd_split(split.odd)
         residual = norms(split.even + split.odd - x)
         residual += norms(of_even.even - split.even)
         residual += norms(of_even.odd)
         residual += norms(of_odd.odd - split.odd)
         residual += norms(of_odd.even)
-        record("max_projection_residual", residual / scale)
+        record("max_projection_residual", residual)
 
         mats = draws[:, 2 * n:].reshape(k, 4, n, n)
         parts = centro_split(mats[:, 0] + 1j * mats[:, 1])
         other = centro_split(mats[:, 2] + 1j * mats[:, 3])
-        sym_norm, skew_norm = fro(parts.sym), fro(parts.skew)
-        parts_norm = np.maximum(sym_norm + skew_norm, 1e-300)
-        other_norm = fro(other.sym) + fro(other.skew)
         table = fro(centro_split(parts.sym @ other.sym).skew)
         table += fro(centro_split(parts.sym @ other.skew).sym)
         table += fro(centro_split(parts.skew @ other.sym).sym)
         table += fro(centro_split(parts.skew @ other.skew).skew)
-        record("max_multiplication_table_residual",
-               table / (parts_norm * np.maximum(other_norm, 1e-300)))
+        record("max_multiplication_table_residual", table)
 
-        parity = (norms(even_odd_split(matvecs(parts.sym, split.even)).odd)
-                  + norms(even_odd_split(matvecs(parts.sym, split.odd)).even)
-                  ) / (np.maximum(sym_norm, 1e-300) * scale)
-        parity = np.maximum(parity, (
-            norms(even_odd_split(matvecs(parts.skew, split.even)).even)
-            + norms(even_odd_split(matvecs(parts.skew, split.odd)).odd)
-        ) / (np.maximum(skew_norm, 1e-300) * scale))
+        parity = norms(even_odd_split(matvecs(parts.sym, split.even)).odd)
+        parity += norms(even_odd_split(matvecs(parts.sym, split.odd)).even)
+        parity += norms(even_odd_split(matvecs(parts.skew, split.even)).even)
+        parity += norms(even_odd_split(matvecs(parts.skew, split.odd)).odd)
         record("max_action_parity_residual", parity)
 
         _, b12, b21, _ = block_form(parts.sym)
         k11, _, _, k22 = block_form(parts.skew)
         blocks = fro(b12) + fro(b21)
         blocks += fro(k11) + fro(k22)
-        record("max_block_structure_residual", blocks / parts_norm)
+        record("max_block_structure_residual", blocks)
 
         wsplit = even_odd_split(matvecs(parts.skew, x))
         decomp = norms(matvecs(parts.skew, split.even) - wsplit.odd)
         decomp += norms(matvecs(parts.skew, split.odd) - wsplit.even)
-        record("max_solution_decomposition_residual",
-               decomp / (np.maximum(skew_norm, 1e-300) * scale))
+        record("max_solution_decomposition_residual", decomp)
 
     while True:
         sym = centro_split(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).sym
