@@ -8,6 +8,9 @@ residual makes it NaN, which fails its bound.  A run passes when every
 metric value stays within its bound.  Identical seed means identical draws,
 so repeated runs produce identical reports.  The centro suite's structural
 checks draw small integers, on which they are exact, so their bound is 0.
+It reads the centro multiplication table through each sample's own integer
+vector x, in O(n^2) per sample, so a kernel that is wrong on every sample
+goes unseen with probability at most 2049^-samples per size.
 """
 
 from __future__ import annotations
@@ -99,10 +102,19 @@ def ramp_odd(n: int) -> np.ndarray:
     return (np.minimum(k, n + 1 - k) * np.sign(n + 1 - 2 * k)).astype(np.complex128)
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # re + 1j * im, with the parts assigned into the real and imaginary lanes
+    # of one complex128 buffer: the same bits, without a complex multiply
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def _complex_rows(draws: np.ndarray, n: int) -> np.ndarray:
     # the first 2n draws of each row as one complex n-vector; on normals, the
     # same numbers, in the same order, as one _complex_normal(rng, n) per row
-    return draws[:, :n] + 1j * draws[:, n:2 * n]
+    return _complex(draws[:, :n], draws[:, n:2 * n])
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -174,11 +186,18 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
 
     The samples of each n are evaluated as stacks, a chunk at a time.  A
     sample is one row of 2n + 4n^2 integers in [-1024, 1024], x_re | x_im |
-    A_re | A_im | B_re | B_im, one vector and two matrices.  On them the five
-    structural residuals are exact, so roundoff bounds them at 0: entries of
-    at most 2^10 give half-integer halves, and each product entry is a sum of
-    n terms below 2^21 in steps of 1/4, exact for n < 2^30.  Only the
-    half-size solve, on Gaussian draws, rounds.
+    A_re | A_im | B_re | B_im, one vector and two matrices.  The table forms
+    no product of two matrices: each product P of a half of A and a half of
+    B is read through x, in O(n^2) per sample, by the half of P E+x and of
+    P E-x that must vanish.  If P - EPE is not 0, (P - EPE) x = 0 for at
+    most one x in 2049 (Freivalds, IFIP 1977; Schwartz, JACM 1980), so a
+    kernel that is wrong on every sample goes unseen with probability at
+    most 2049^-samples per size.  On these draws the five structural
+    residuals are exact, so roundoff bounds them at 0: entries of at most
+    2^10 give half-integer halves, and two chained matrix-vector products
+    reach entries of n^2 2^32 in steps of 1/8, exact while
+    n^2 2^35 <= 2^53, that is for n <= 512.  Only the half-size solve, on
+    Gaussian draws, rounds.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -198,14 +217,30 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             yield "max_projection_residual", residual, roundoff
 
             mats = draws[:, 2 * n:].reshape(k, 4, n, n)
-            parts = _split_centro(mats[:, 0] + 1j * mats[:, 1])
-            other = _split_centro(mats[:, 2] + 1j * mats[:, 3])
-            # only the half of vec(product) that must vanish: sym * sym is
-            # sym, sym * skew is skew, ...
-            table = _norms(_half(_vec(parts.sym @ other.sym), odd=True))
-            table += _norms(_half(_vec(parts.sym @ other.skew), odd=False))
-            table += _norms(_half(_vec(parts.skew @ other.sym), odd=False))
-            table += _norms(_half(_vec(parts.skew @ other.skew), odd=True))
+            a = _complex(mats[:, 0], mats[:, 1])
+            parts = _split_centro(a)
+            # the halves sum back to A.  A is not overwritten, as a wrong split
+            # may return a view of it, and it goes before B is built
+            sum_back = parts.sym + parts.skew
+            sum_back -= a
+            table = _fro_norms(sum_back)
+            del a, sum_back
+            other = _split_centro(_complex(mats[:, 2], mats[:, 3]))
+            # each product P = p q through E+x and E-x, never formed: the odd
+            # half of P E+x plus the even half of P E-x is (P - EPE) x / 2, so
+            # both vanish if P is centro-symmetric, and the other two if it is
+            # centro-skew.  vanishing[odd] collects the P E+-x whose odd half
+            # (or, at False, even half) must vanish
+            vanishing = ([], [])
+            for q, q_skew in ((other.sym, False), (other.skew, True)):
+                q_even, q_odd = _matvecs(q, split.even), _matvecs(q, split.odd)
+                for p, p_skew in ((parts.sym, False), (parts.skew, True)):
+                    skew = p_skew != q_skew
+                    vanishing[not skew].append(_matvecs(p, q_even))
+                    vanishing[skew].append(_matvecs(p, q_odd))
+            for odd, vectors in enumerate(vanishing):
+                halves = _half(np.stack(vectors, axis=1), odd=bool(odd))
+                table += _norms(halves.reshape(k, -1))
             yield "max_multiplication_table_residual", table, roundoff
 
             # K E+ x and K E- x, read by the parity and the decomposition metrics

@@ -186,8 +186,11 @@ def test_metrics_of_exact_halves_are_exactly_zero(seed):
         (name, 0.0, 0.0) for name in CENTRO_EXACT_METRICS]
 
 
-def test_centro_checks_stay_exact_beyond_the_command_line_cap():
-    metrics = centro_suite(200, 200, np.random.default_rng(0), samples=3)
+@pytest.mark.parametrize("n,samples", [(200, 3), (512, 1)])
+def test_centro_checks_stay_exact_beyond_the_command_line_cap(n, samples):
+    # up to n = 512: the table's two chained matrix-vector products reach
+    # entries of n^2 2^32 in steps of 1/8, exact while n^2 2^35 <= 2^53
+    metrics = centro_suite(n, n, np.random.default_rng(0), samples=samples)
     assert [(m.name, m.value) for m in metrics[:5]] == [
         (name, 0.0) for name in CENTRO_EXACT_METRICS]
 
@@ -392,6 +395,34 @@ def test_exact_centro_metric_rejects_a_one_ulp_or_swapped_split(monkeypatch, met
     assert not _metric(metrics, metric).ok
 
 
+def _doubled_centro_split(x):
+    # both halves doubled: every parity holds, but the halves sum to 2A
+    parts = centro._split_centro(x)
+    return CentroSplit(sym=2 * parts.sym, skew=2 * parts.skew)
+
+
+def _unit_moved_centro_split(x):
+    # one integer unit at entry (0, 0) moved from skew to sym: the halves
+    # still sum back to A, but sym is no longer centro-symmetric
+    parts = centro._split_centro(x)
+    sym, skew = parts.sym.copy(), parts.skew.copy()
+    sym[..., 0, 0] += 1
+    skew[..., 0, 0] -= 1
+    return CentroSplit(sym=sym, skew=skew)
+
+
+@pytest.mark.parametrize("n", VERIFY_SIZES)
+@pytest.mark.parametrize("bad", [_doubled_centro_split, _unit_moved_centro_split],
+                         ids=["doubled", "unit-moved"])
+def test_multiplication_table_rejects_halves_that_miss_the_sum_or_a_parity(monkeypatch,
+                                                                           bad, n):
+    # the doubled split fails only the sum back to A, the moved unit only
+    # the parity of the products read through x
+    monkeypatch.setattr(verify, "_split_centro", bad)
+    metrics = centro_suite(n, n, np.random.default_rng(n), samples=2)
+    assert not _metric(metrics, "max_multiplication_table_residual").ok
+
+
 @pytest.mark.parametrize("n", VERIFY_SIZES)
 def test_centro_suite_raises_on_a_half_size_solve_from_the_wrong_blocks(monkeypatch, n):
     # the off-diagonal blocks in place of the diagonal ones: singular at even
@@ -577,6 +608,49 @@ def test_centro_suite_checks_only_the_solver_inputs(monkeypatch):
         centro_suite(64, 64, np.random.default_rng(1), samples=samples)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+class _NoSquareProducts(np.ndarray):
+    """A stack on which np.matmul fails once the result's last two axes both
+    exceed 2: a matrix may meet one or two vectors, never another matrix."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, _NoSquareProducts) else a
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if ufunc is np.matmul and min(np.shape(result)[-2:]) > 2:
+            raise AssertionError(f"a product of square matrices, {np.shape(result)}")
+        return result
+
+
+def test_centro_suite_forms_no_product_of_two_matrices(monkeypatch):
+    # the multiplication table costs O(n^2) per sample, not O(n^3)
+    def guarded(x):
+        parts = centro._split_centro(x)
+        return CentroSplit(sym=parts.sym.view(_NoSquareProducts),
+                           skew=parts.skew.view(_NoSquareProducts))
+
+    square = guarded(np.ones((3, 3), dtype=np.complex128))
+    with pytest.raises(AssertionError, match="square matrices"):
+        square.sym @ square.skew
+    monkeypatch.setattr(verify, "_split_centro", guarded)
+    for metric in centro_suite(64, 64, np.random.default_rng(64)):
+        assert metric.ok, f"{metric.name}: {metric.value} > {metric.bound}"
+
+
+def test_complex_lanes_hold_the_bits_of_re_plus_1j_im():
+    # int32 draws, zeros among them, and the normals of _complex_rows
+    rng = np.random.default_rng(4)
+    for n in VERIFY_SIZES:
+        draws = rng.integers(-1024, 1025, (3, 2 * n + 4 * n * n), dtype=np.int32)
+        mats = draws[:, 2 * n:].reshape(3, 4, n, n)
+        normals = rng.standard_normal((3, 2 * n))
+        for real, imag in ((draws[:, :n], draws[:, n:2 * n]), (mats[:, 0], mats[:, 1]),
+                           (mats[:, 2], mats[:, 3]), (normals[:, :n], normals[:, n:])):
+            assert verify._complex(real, imag).tobytes() == (real + 1j * imag).tobytes()
+    assert (draws == 0).any()
 
 
 def _refuse(*args, **kwargs):
