@@ -8,7 +8,7 @@ the report and returns the exit code.  Grammar::
     centrocirc spectrum {circ,scirc} [--format F] [--tol X] -- C1,C2,...
     centrocirc spectrum {r-even,r-odd} N         [--format F] [--tol X]
     centrocirc verify {relation,nilpotent,centro,unitary,all} LO..HI
-                      [--seed N] [--format F] [--tol X]
+                      [--seed N] [--format F]
 
 A coefficient list whose first entry is negative must follow ``--``, or it
 is read as an option.  A list holds at most 1024 coefficients.  Sizes,
@@ -91,7 +91,7 @@ _SPECTRUM = {
 SHOW_KINDS = tuple(_SHOW)
 SPECTRUM_KINDS = tuple(_SPECTRUM)
 SHOW_N_MAX = 1024
-# the text of the default --seed and --tol, read like any other argument
+# the text of the default --seed and spectrum --tol, read like any other argument
 DEFAULT_SEED = "0"
 DEFAULT_RESIDUAL_TOL = "1e-10"
 
@@ -249,13 +249,12 @@ def cmd_spectrum(kind: str, arg: str, tol_text: str) -> CommandReport:
     )
 
 
-def cmd_verify(suite: str, range_text: str, seed_text: str,
-               tol_text: str) -> CommandReport:
+def cmd_verify(suite: str, range_text: str, seed_text: str) -> CommandReport:
     lo, hi = _parse_range(range_text)
     seed = _parse_digits(seed_text, "seed")
     return CommandReport(
         command=f"verify {suite}", n=hi,
-        metrics=run_suite(suite, lo, hi, seed, relation_tol=_parse_tol(tol_text)),
+        metrics=run_suite(suite, lo, hi, seed),
         seed=seed, n_range=f"{lo}..{hi}",
     )
 
@@ -315,11 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("pretty", "json", "csv"),
                         default="pretty", help="output format")
-    # spectrum and verify bound a residual; show has none to bound
-    tolerant = argparse.ArgumentParser(add_help=False)
-    tolerant.add_argument("--tol", default=DEFAULT_RESIDUAL_TOL,
-                          help="residual tolerance for spectrum/relation checks")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
     show = sub.add_parser("show", parents=[common],
@@ -327,13 +321,16 @@ def _build_parser() -> argparse.ArgumentParser:
     show.add_argument("kind", choices=SHOW_KINDS)
     show.add_argument("n", help="matrix size")
 
-    spectrum = sub.add_parser("spectrum", parents=[common, tolerant],
+    spectrum = sub.add_parser("spectrum", parents=[common],
                               help="print eigenvalues with residual metrics")
+    # verify takes no --tol: its exact checks are bounded by 0
+    spectrum.add_argument("--tol", default=DEFAULT_RESIDUAL_TOL,
+                          help="residual tolerance for the eigenpair check")
     spectrum.add_argument("kind", choices=SPECTRUM_KINDS)
     spectrum.add_argument("arg", help="comma-separated coefficients, or a size; "
                                       "a list starting with '-' must follow '--'")
 
-    verify = sub.add_parser("verify", parents=[common, tolerant],
+    verify = sub.add_parser("verify", parents=[common],
                             help="run a seeded invariant suite over a size range")
     verify.add_argument("suite", choices=SUITE_NAMES)
     verify.add_argument("range", help="size range like 2..16")
@@ -355,7 +352,7 @@ def main(argv=None) -> int:
         elif args.command == "spectrum":
             report = cmd_spectrum(args.kind, args.arg, args.tol)
         else:
-            report = cmd_verify(args.suite, args.range, args.seed, args.tol)
+            report = cmd_verify(args.suite, args.range, args.seed)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -79,11 +79,7 @@ def r_dense(r: SpecialTridiag) -> np.ndarray:
 def lower_shift_dense(n: int) -> np.ndarray:
     """Ones on the subdiagonal only: the shift Z behind ``r_dense``'s
     R = Z^T - Z - e1 e1^T + en en^T and its circulant analogues."""
-    n = _require_size(n, 1)
-    out = np.zeros((n, n), dtype=np.complex128)
-    idx = np.arange(n - 1)
-    out[idx + 1, idx] = 1.0
-    return out
+    return np.eye(_require_size(n, 1), k=-1, dtype=np.complex128)
 
 
 def r_apply(r: SpecialTridiag, x) -> np.ndarray:

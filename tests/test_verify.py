@@ -131,14 +131,14 @@ def test_empty_range_or_sample_set_raises(run):
 
 # Pretty reports of ``verify {relation,centro} 2..12 --seed 5``.  One value
 # may move, as the half-size solve rounds differently; its name and bound may
-# not.  The exact checks read 0 against a bound of 0: the defect closed forms
-# on halves that are bitwise (anti)palindromic, and the five structural centro
-# checks on integer draws.
+# not.  The exact checks read 0 against a bound of 0: the two R kernels and the
+# five structural centro checks on integer draws, and the defect closed forms
+# on halves that are bitwise (anti)palindromic.
 PINNED_REPORTS = {
     "relation": """\
 verify relation  (n = 2..12, seed = 5)
 status: pass
-  max_relation_residual_over_n_normx = 8.095729e-17  (bound 1.000000e-10, ok)
+  max_relation_residual_over_n_normx = 0.000000e+00  (bound 0.000000e+00, ok)
   max_defect_on_projected_parts = 0.000000e+00  (bound 0.000000e+00, ok)""",
     "centro": """\
 verify centro  (n = 2..12, seed = 5)
@@ -171,15 +171,18 @@ def test_pretty_report_is_pinned(capsys, suite):
 CENTRO_EXACT_METRICS = ("max_projection_residual", "max_multiplication_table_residual",
                         "max_action_parity_residual", "max_block_structure_residual",
                         "max_solution_decomposition_residual")
+RELATION_METRICS = ("max_relation_residual_over_n_normx", "max_defect_on_projected_parts")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_metrics_of_exact_halves_are_exactly_zero(seed):
     # a half is formed from x_i + x_j, which is bitwise x_j + x_i, so the
     # halves are exactly palindromic and their defects cancel to exactly 0;
-    # on integer draws every sum and product of the centro checks is exact
+    # on integer draws both R kernels and every sum and product of the centro
+    # checks are exact
     relation = relation_suite(VERIFY_N_MIN, VERIFY_N_MAX, np.random.default_rng(seed))
-    assert _metric(relation, "max_defect_on_projected_parts").value == 0.0
+    assert [(m.name, m.value, m.bound) for m in relation] == [
+        (name, 0.0, 0.0) for name in RELATION_METRICS]
     centro_metrics = centro_suite(VERIFY_N_MIN, VERIFY_N_MAX, np.random.default_rng(seed),
                                   samples=10)
     assert [(m.name, m.value, m.bound) for m in centro_metrics[:5]] == [
@@ -193,6 +196,13 @@ def test_centro_checks_stay_exact_beyond_the_command_line_cap(n, samples):
     metrics = centro_suite(n, n, np.random.default_rng(0), samples=samples)
     assert [(m.name, m.value) for m in metrics[:5]] == [
         (name, 0.0) for name in CENTRO_EXACT_METRICS]
+
+
+@pytest.mark.parametrize("n", [1024, 4097])
+def test_relation_checks_stay_exact_beyond_the_command_line_cap(n):
+    # the kernels only add, subtract, halve and flip signs: exact at every n
+    metrics = relation_suite(n, n, np.random.default_rng(0))
+    assert [(m.name, m.value) for m in metrics] == [(name, 0.0) for name in RELATION_METRICS]
 
 
 def _metric(metrics, name):
@@ -227,6 +237,11 @@ def _odd_half_not_antipalindromic(x):
 
 def _perturbed_relation_product(r, x):
     return r_apply_via_relation(r, x) * (1 + 1e-6)
+
+
+def _one_ulp_relation_product(r, x):
+    # every nonzero entry moved by an ulp or two: only a bound of 0 sees it
+    return r_apply_via_relation(r, x) * (1 + 2**-52)
 
 
 def _nan_relation_product(r, x):
@@ -265,6 +280,8 @@ def _wrong_and_nan(wrong, nan):
 @pytest.mark.parametrize("bad,n", _wrong_and_nan(_perturbed_relation_product,
                                                  _nan_relation_product)
                          + [pytest.param(_pi_on_both_halves, n, id=f"pi-on-odd-{n}")
+                            for n in VERIFY_SIZES]
+                         + [pytest.param(_one_ulp_relation_product, n, id=f"ulp-{n}")
                             for n in VERIFY_SIZES])
 def test_relation_metric_rejects_bad_relation_product(monkeypatch, bad, n):
     monkeypatch.setattr(verify, "r_apply_via_relation", bad)
