@@ -59,30 +59,32 @@ def even_odd_split(x) -> EvenOddSplit:
     return _split_parity(as_vector(x, stacked=True))
 
 
-def _half(x: np.ndarray, odd: bool, out: np.ndarray | None = None) -> np.ndarray:
+def _half(x: np.ndarray, odd: bool, lo: int = 0, hi: int | None = None,
+          halved: bool | None = None) -> np.ndarray:
     # one half of the split by reversal of the last axis, for an already
-    # checked stack: (y + Ey) / 2, or with odd (y - Ey) / 2.  The sum is
-    # halved in place on its float64 view, which is exact (a complex division
-    # by 2 would divide every element); a sum that overflows is formed again
-    # from the halved input, so finite halves of finite input stay finite.
-    # With out, only the leading out.shape[-1] entries are formed, into out,
-    # whose last axis must be contiguous; every entry's mirror lies among
-    # them once they reach the middle, so the overflow decision is the
-    # full half's
+    # checked stack: (y + Ey) / 2, or with odd (y - Ey) / 2, on the leading
+    # entries lo..hi-1, each paired with its mirror, into a fresh C-ordered
+    # array.  The sum is halved in place on its float64 view, which is exact
+    # (a complex division by 2 would divide every element); a sum that
+    # overflows is formed again from the halved input, so finite halves of
+    # finite input stay finite.  A caller that forms a half window by window
+    # makes that choice once for the whole half: with halved=False an
+    # overflowing sum raises FloatingPointError, and with halved=True the
+    # window is formed from the halved input
     combine = np.subtract if odd else np.add
-    if out is None:
-        head, mirror = x, x[..., ::-1]
-    else:
-        m = out.shape[-1]
-        head, mirror = x[..., :m], x[..., :-m - 1:-1]
-    try:
-        with np.errstate(over="raise"):
-            # C order keeps the last axis contiguous for the float64 view
-            out = combine(head, mirror, out=out, order="C")
-    except FloatingPointError:
-        return combine(head * 0.5, mirror * 0.5, out=out)
-    out.view(np.float64)[...] *= 0.5
-    return out
+    head, mirror = x[..., lo:hi], x[..., ::-1][..., lo:hi]
+    if not halved:
+        try:
+            with np.errstate(over="raise"):
+                # C order keeps the last axis contiguous for the float64 view
+                out = combine(head, mirror, order="C")
+        except FloatingPointError:
+            if halved is not None:
+                raise
+        else:
+            out.view(np.float64)[...] *= 0.5
+            return out
+    return combine(head * 0.5, mirror * 0.5)
 
 
 def _vec(x: np.ndarray) -> np.ndarray:

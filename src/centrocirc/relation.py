@@ -8,15 +8,16 @@ vectors and as the skew-circulant ``eta - eta^T`` on odd vectors, where
 wraps.  Both restrictions are applied as those shifts, in O(n).  Both are
 centro-skew, like ``R_n``: E (pi - pi^T) E = -(pi - pi^T) and
 E (eta - eta^T) E = -(eta - eta^T).  So each swaps parity:
-(pi - pi^T) E_plus x is odd and (eta - eta^T) E_minus x is even, and the
-trailing half of each product mirrors its leading half.  E_plus x is
-palindromic bit for bit, since x_i + x_j and x_j + x_i are one sum, so
-``r_apply_via_relation`` forms it on its leading entries only and reads the
-neighbours of each trailing output entry from there.  E_minus x is
-antipalindromic only up to the sign of zero, since x_i - x_j and
-x_j - x_i are both +0 where x_i = x_j, so a negated mirror would change
-signs of zero; it is formed at full length.  Each output entry is then the
-same difference of the same neighbours as at full length, bit for bit.
+(pi - pi^T) E_plus x is odd and (eta - eta^T) E_minus x is even.
+``r_apply_via_relation`` walks the last axis in windows of ``_WINDOW``
+outputs.  For each window it forms E_minus x and E_plus x on the window and
+one neighbour on each side, writes (eta - eta^T) E_minus x into the output
+and adds (pi - pi^T) E_plus x; the two end outputs take their neighbours
+across the wraps from the first and the last window.  A half whose pair sum
+overflows anywhere is formed from the halved input in every window, as at
+full length.  So each output entry is the same difference of the same
+neighbours as at full length, bit for bit, signed zeros included, and the
+call allocates its output and O(window) scratch.
 The defects
 
     D_plus  = R - (pi - pi^T)  = (e_n + e_1)(e_n - e_1)^T
@@ -51,6 +52,10 @@ from .centro import _half
 
 # relative tolerance of the nilpotency check
 _NILPOTENT_TOL = 1e-8
+
+# outputs per window of r_apply_via_relation: 128 KiB of complex128 per
+# vector, so each window's halves and output fit in a 2 MiB L2 together
+_WINDOW = 8192
 
 
 class ComplexEntriesError(ValueError):
@@ -117,34 +122,54 @@ def r_apply_via_relation(r: SpecialTridiag, x) -> np.ndarray:
     ``(..., n)`` stack, applied along the last axis.
 
     x is checked once, here, and paired by index reversal with the kernel
-    behind ``even_odd_split``.  The even half is formed on its leading
-    ceil(n/2) + 1 entries only, which give both halves of its product (see
+    behind ``even_odd_split``, one window of the last axis at a time (see
     the module docstring).  The call is O(n) per vector, with no FFT and no
-    twist.  Beyond the check of x, it allocates the output and one buffer
-    of n + 3 entries per vector, which holds the odd half, then the even
-    half's leading entries and their differences."""
+    twist.  Beyond the check of x, it allocates its output and O(window)
+    scratch per vector."""
     x = _require_length(x, r.n)
     n = r.n
-    lead_len, trail_len = n - n // 2, n // 2
     y = np.empty(x.shape, dtype=np.complex128)
-    # a half sits between slots for the neighbours across the two wraps,
-    # each that neighbour's value times the wrap, as at full length
-    buf = np.empty(x.shape[:-1] + (n + 3,), dtype=np.complex128)
-    # (eta - eta^T) E_minus x, at full length, straight into y
-    odd = _half(x, odd=True, out=buf[..., 1:n + 1])
-    np.multiply(odd[..., -1], SkewCirculant.wrap, out=buf[..., 0])
-    np.multiply(odd[..., 0], SkewCirculant.wrap, out=buf[..., n + 1])
-    np.subtract(buf[..., 2:n + 2], buf[..., :n], out=y)
-    # (pi - pi^T) E_plus x, added in: entry n-1-i is the difference of the
-    # mirrored neighbours of entry i, read from the leading entries
-    even = _half(x, odd=False, out=buf[..., 1:lead_len + 2])
-    np.multiply(even[..., 0], Circulant.wrap, out=buf[..., 0])
-    diff = buf[..., lead_len + 2:]
-    lead, trail = y[..., :lead_len], y[..., :-trail_len - 1:-1]
-    np.subtract(buf[..., 2:lead_len + 2], buf[..., :lead_len], out=diff[..., :lead_len])
-    np.add(lead, diff[..., :lead_len], out=lead)
-    np.subtract(buf[..., :trail_len], buf[..., 2:trail_len + 2], out=diff[..., :trail_len])
-    np.add(trail, diff[..., :trail_len], out=trail)
+    halved = {True: False, False: False}
+    lo = 0
+    while lo < n:
+        hi = min(lo + _WINDOW, n)
+        # the halves cover the window and one neighbour on each side; the
+        # inner outputs have both neighbours inside x
+        start, stop = max(lo - 1, 0), min(hi + 1, n)
+        inner = slice(max(lo, 1), min(hi, n - 1))
+        m = inner.stop - inner.start
+        # (eta - eta^T) E_minus x written into y, then (pi - pi^T) E_plus x
+        # added in
+        for odd, wrap in ((True, SkewCirculant.wrap), (False, Circulant.wrap)):
+            try:
+                half = _half(x, odd, start, stop, halved[odd])
+            except FloatingPointError:
+                if halved[odd]:
+                    raise
+                # a pair sum overflows: the whole half, in every window, is
+                # formed from the halved input, as at full length
+                halved[odd], lo = True, 0
+                break
+            if odd:
+                np.subtract(half[..., 2:m + 2], half[..., :m], out=y[..., inner])
+            else:
+                # the odd half is spent once its differences and ends are
+                # in y: its leading entries take the even half's differences
+                diff = np.subtract(half[..., 2:m + 2], half[..., :m], out=spent[..., :m])
+                np.add(y[..., inner], diff, out=y[..., inner])
+            if hi == n:
+                # the two ends, with the neighbours across the wraps
+                lead = half if lo == 0 else _half(x, odd, 0, 2, halved[odd])
+                head = lead[..., 1] - np.multiply(half[..., -1], wrap)
+                tail = np.multiply(lead[..., 0], wrap) - half[..., -2]
+                if odd:
+                    y[..., 0], y[..., -1] = head, tail
+                else:
+                    np.add(y[..., 0], head, out=y[..., 0])
+                    np.add(y[..., -1], tail, out=y[..., -1])
+            spent = half
+        else:
+            lo = hi
     return y
 
 

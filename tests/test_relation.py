@@ -29,6 +29,7 @@ from centrocirc import (
     sign_pattern_of,
     verify_nilpotent,
 )
+from centrocirc import relation
 
 R5 = np.array(
     [
@@ -235,19 +236,72 @@ def _zero_sign_patterns(n):
     return np.concatenate([grid + 0j, grid * (1 - 1j), 1j * grid + grid[::-1]])
 
 
-@pytest.mark.parametrize("n", list(range(2, 71)) + [1000, 1001, 4097])
-def test_r_kernels_keep_the_full_length_bits(n):
-    # the leading-half route and the in-place stencil write every byte, signed
-    # zeros included, that the full-length computations write
-    r = SpecialTridiag(n)
-    rng = np.random.default_rng(n)
+def _bit_inputs(n, rng):
+    # the input families that tell the routes' bytes apart: zero-sign grids,
+    # signed-zero-rich, Gaussian and 1e307 * Gaussian, as vectors and as a
+    # (2, 3, n) stack
     inputs = [_zero_sign_patterns(n)] if n < 8 else []
     for shape in ((n,), (2, 3, n)):
         gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         inputs += [gauss, _signed_zero_rich(rng, shape), 1e307 * gauss]
-    for x in inputs:
+    return inputs
+
+
+@pytest.mark.parametrize("n", list(range(2, 71)) + [1000, 1001, 4097])
+def test_r_kernels_keep_the_full_length_bits(n):
+    # the windowed route and the in-place stencil write every byte, signed
+    # zeros included, that the full-length computations write
+    r = SpecialTridiag(n)
+    for x in _bit_inputs(n, np.random.default_rng(n)):
         assert r_apply(r, x).tobytes() == _stencil_reference(x).tobytes()
         assert r_apply_via_relation(r, x).tobytes() == _relation_reference(x).tobytes()
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("n", range(2, 71))
+def test_relation_windows_keep_the_full_length_bits(monkeypatch, window, n):
+    # windows shorter than n, down to one output: every window boundary,
+    # both wraps and a last window of any length give the full-length bytes
+    monkeypatch.setattr(relation, "_WINDOW", window)
+    r = SpecialTridiag(n)
+    for x in _bit_inputs(n, np.random.default_rng(n)):
+        assert r_apply_via_relation(r, x).tobytes() == _relation_reference(x).tobytes()
+
+
+_W = relation._WINDOW
+
+
+@pytest.mark.parametrize("n", [_W - 1, _W, _W + 1, _W + 2, 2 * _W + 1, 3 ** 11])
+def test_relation_route_keeps_the_full_length_bits_around_its_window(n):
+    r = SpecialTridiag(n)
+    for x in _bit_inputs(n, np.random.default_rng(n)):
+        assert r_apply_via_relation(r, x).tobytes() == _relation_reference(x).tobytes()
+
+
+@pytest.mark.parametrize("window", [3, 7, _W])
+@pytest.mark.parametrize("overflow_first", [True, False], ids=["overflow-first", "subnormal-first"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["even-overflows", "odd-overflows"])
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["vector", "stack"])
+def test_relation_windows_share_one_overflow_decision(monkeypatch, window, overflow_first,
+                                                      sign, shape):
+    # one pair sum overflows and a subnormal pair lies in another window.
+    # At full length the overflow makes the whole half come from the halved
+    # input, which rounds the subnormal pair differently (5e-324 / 2 is 0),
+    # so a window that decided on its own would change those bytes
+    monkeypatch.setattr(relation, "_WINDOW", window)
+    n = 3 * window + 2
+    near, far = (window + 1, 0) if overflow_first else (0, window + 1)
+    x = np.zeros(shape + (n,), dtype=np.complex128)
+    x[..., far], x[..., n - 1 - far] = 1e308, sign * 1e308
+    x[..., near], x[..., n - 1 - near] = 5e-324, 1e-323 + 5e-324j
+    x[(0,) * len(shape) + (n // 2,)] = 1j
+    with np.errstate(over="ignore"):
+        via = r_apply_via_relation(SpecialTridiag(n), x)
+        reference = _relation_reference(x)
+    assert via.tobytes() == reference.tobytes()
+    combine = np.add if sign > 0 else np.subtract
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        combine(x, x[..., ::-1])
 
 
 @pytest.mark.parametrize("n", list(range(2, 65)) + [127, 128, 1023, 1024])
@@ -262,14 +316,23 @@ def test_both_r_paths_equal_dense_r_on_the_unit_basis(n):
     assert r_apply_via_relation(r, basis).tobytes() == columns
 
 
-@pytest.mark.parametrize("func, budget", [(r_apply, 1.1), (r_apply_via_relation, 2.1)],
+def test_relation_route_raises_where_the_caller_makes_underflow_raise():
+    # halving 5e-324 underflows on both routes; the windowed one raises it
+    # rather than forming the half again
+    x = [5e-324, 0, 0, 0]
+    for func in (_relation_reference, lambda x: r_apply_via_relation(SpecialTridiag(4), x)):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            func(x)
+
+
+@pytest.mark.parametrize("func, budget", [(r_apply, 1.1), (r_apply_via_relation, 1.15)],
                          ids=["r_apply", "r_apply_via_relation"])
 def test_r_kernels_allocate_within_budget(func, budget):
     # peak traced allocation of one call, as a multiple of x.nbytes: the
-    # output, plus for the relation route one buffer of n + 3 entries
-    n = 2 ** 16
+    # output, plus for the relation route a few arrays of one window each
+    n = 2 ** 18
     r = SpecialTridiag(n)
-    rng = np.random.default_rng(16)
+    rng = np.random.default_rng(18)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     func(r, x)
     tracemalloc.start()
