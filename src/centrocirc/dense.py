@@ -29,6 +29,11 @@ class SingularMatrixError(ValueError):
 _ABS_EPS = 1e-10
 _REL_EPS = 1e-10
 
+# multiply-adds per block of _calling_thread_product: half of the about 2^16
+# complex multiply-adds from which OpenBLAS hands a product to its worker
+# thread (41^3 do, 40^3 do not); 2^16 - 1 per block still woke it
+_BLOCK_MULTIPLY_ADDS = 2 ** 15
+
 
 def _as_finite(x, ndim: int, stacked: bool, noun: str) -> np.ndarray:
     # the one shape/finiteness check behind as_vector and as_matrix
@@ -94,9 +99,28 @@ def _norm(x: np.ndarray) -> float:
     return norm
 
 
+def _calling_thread_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a @ b for 2-D a and b, in balanced row blocks of at least 2 rows and
+    # under _BLOCK_MULTIPLY_ADDS each, so that OpenBLAS runs every block on
+    # the calling thread and leaves no worker spinning after it.  A 1-row
+    # block would go to zgemv, which rounds differently, so the product is
+    # issued whole where blocks of at least 2 rows cannot stay under budget
+    m, p = a.shape[0], b.shape[1]
+    rows = (_BLOCK_MULTIPLY_ADDS - 1) // (a.shape[1] * p)
+    blocks = -(-m // rows) if rows >= 2 else 1
+    if blocks == 1 or m < 2 * blocks:
+        return a @ b
+    out = np.empty((m, p), dtype=np.result_type(a, b))
+    for i in range(blocks):
+        lo, hi = i * m // blocks, (i + 1) * m // blocks
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
+
+
 def _unitary_defect(u: np.ndarray) -> float:
     # ||U U* - I||_F for an already checked square matrix
-    return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
+    gram = _calling_thread_product(u, u.conj().T)
+    return float(np.linalg.norm(gram - np.eye(u.shape[0])))
 
 
 def solve_dense(a, w) -> np.ndarray:

@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import _ABS_EPS, _require_length, _require_size, _require_square, as_matrix
+from .dense import (
+    _ABS_EPS,
+    _calling_thread_product,
+    _require_length,
+    _require_size,
+    _require_square,
+    as_matrix,
+)
 from .circulant import (
     Circulant,
     SkewCirculant,
@@ -235,11 +242,27 @@ def nilpotent_realization(n: int) -> np.ndarray:
     return nilpotent_scaling(n)[:, None] * r_dense(SpecialTridiag(n))
 
 
+def _power(a: np.ndarray, m: int) -> np.ndarray:
+    # A^m for m >= 1, bit for bit np.linalg.matrix_power(a, m): its products
+    # in its order, each on the calling thread.  That order is (A A) A at
+    # m = 3 and otherwise squarings from the least significant bit up, which
+    # its shortcuts for m = 1 and 2 follow too
+    if m == 3:
+        return _calling_thread_product(_calling_thread_product(a, a), a)
+    square = result = None
+    while m > 0:
+        square = a if square is None else _calling_thread_product(square, square)
+        m, bit = divmod(m, 2)
+        if bit:
+            result = square if result is None else _calling_thread_product(result, square)
+    return result
+
+
 def _nilpotency_residual(a: np.ndarray) -> tuple[float, float]:
     # (||A^n||_F, 1e-8 * max(1, ||A||_F)**n) for an already checked square A
     n = a.shape[0]
     bound = _NILPOTENT_TOL * max(1.0, float(np.linalg.norm(a))) ** n
-    return float(np.linalg.norm(np.linalg.matrix_power(a, n))), bound
+    return float(np.linalg.norm(_power(a, n))), bound
 
 
 def verify_nilpotent(a) -> bool:

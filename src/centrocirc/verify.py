@@ -129,9 +129,10 @@ def _fro_norms(x: np.ndarray) -> np.ndarray:
     return _norms(_vec(x))
 
 
-def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # a[i] @ x[i] for each matrix-vector pair of two stacks
-    return (a @ x[..., None])[..., 0]
+def _images(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # a[i] @ v for each row v of rows[i], again as rows: one product per
+    # matrix of the stack over the few vectors that it meets
+    return np.swapaxes(a @ np.swapaxes(rows, -1, -2), -1, -2)
 
 
 @_reduced
@@ -202,8 +203,13 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
     residuals are exact, so roundoff bounds them at 0: entries of at most
     2^10 give half-integer halves, and two chained matrix-vector products
     reach entries of n^2 2^32 in steps of 1/8, exact while
-    n^2 2^35 <= 2^53, that is for n <= 512.  Only the half-size solve, on
-    Gaussian draws, rounds.
+    n^2 2^35 <= 2^53, that is for n <= 512.  Each matrix meets the up to 7
+    vectors it acts on in one product, and each column of that product is
+    still such an exact matrix-vector product: every partial sum, in
+    whatever order the product adds, is a multiple of 1/8 below n^2 2^32.
+    At n <= 64 a product has at most 64 * 64 * 7 multiply-adds, under the
+    size from which OpenBLAS hands it to a worker thread.  Only the
+    half-size solve, on Gaussian draws, rounds.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -232,28 +238,36 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             table = _fro_norms(sum_back)
             del a, sum_back
             other = _split_centro(_complex(mats[:, 2], mats[:, 3]))
+            # one product per matrix over the vectors it meets, as rows: B's
+            # halves meet E+x and E-x; A's S meets those and their images
+            # S E+x, S E-x, K E+x, K E-x under B, rows 0..5; A's K meets the
+            # same six and x, row 6
+            pair = np.stack([split.even, split.odd], axis=1)
+            met = np.concatenate([pair, _images(other.sym, pair),
+                                  _images(other.skew, pair)], axis=1)
+            sym_images = _images(parts.sym, met)
+            skew_images = _images(parts.skew, np.concatenate([met, x[:, None]], axis=1))
             # each product P = p q through E+x and E-x, never formed: the odd
             # half of P E+x plus the even half of P E-x is (P - EPE) x / 2, so
             # both vanish if P is centro-symmetric, and the other two if it is
             # centro-skew.  vanishing[odd] collects the P E+-x whose odd half
-            # (or, at False, even half) must vanish
+            # (or, at False, even half) must vanish; q E+x is row 2 of the
+            # images for q = S, row 4 for q = K, and q E-x the row after it
             vanishing = ([], [])
-            for q, q_skew in ((other.sym, False), (other.skew, True)):
-                q_even, q_odd = _matvecs(q, split.even), _matvecs(q, split.odd)
-                for p, p_skew in ((parts.sym, False), (parts.skew, True)):
+            for q_even, q_skew in ((2, False), (4, True)):
+                for images, p_skew in ((sym_images, False), (skew_images, True)):
                     skew = p_skew != q_skew
-                    vanishing[not skew].append(_matvecs(p, q_even))
-                    vanishing[skew].append(_matvecs(p, q_odd))
+                    vanishing[not skew].append(images[:, q_even])
+                    vanishing[skew].append(images[:, q_even + 1])
             for odd, vectors in enumerate(vanishing):
                 halves = _half(np.stack(vectors, axis=1), odd=bool(odd))
                 table += _norms(halves.reshape(k, -1))
             yield "max_multiplication_table_residual", table, roundoff
 
             # K E+ x and K E- x, read by the parity and the decomposition metrics
-            skew_even = _matvecs(parts.skew, split.even)
-            skew_odd = _matvecs(parts.skew, split.odd)
-            parity = _norms(_half(_matvecs(parts.sym, split.even), odd=True))
-            parity += _norms(_half(_matvecs(parts.sym, split.odd), odd=False))
+            skew_even, skew_odd = skew_images[:, 0], skew_images[:, 1]
+            parity = _norms(_half(sym_images[:, 0], odd=True))
+            parity += _norms(_half(sym_images[:, 1], odd=False))
             parity += _norms(_half(skew_even, odd=False)) + _norms(_half(skew_odd, odd=True))
             yield "max_action_parity_residual", parity, roundoff
 
@@ -265,7 +279,7 @@ def centro_suite(n_lo: int, n_hi: int, rng: np.random.Generator,
             yield "max_block_structure_residual", blocks, roundoff
 
             # K z = w iff K E+ z = E- w and K E- z = E+ w
-            wsplit = _split_parity(_matvecs(parts.skew, x))
+            wsplit = _split_parity(skew_images[:, 6])
             decomp = _norms(skew_even - wsplit.odd)
             decomp += _norms(skew_odd - wsplit.even)
             yield "max_solution_decomposition_residual", decomp, roundoff

@@ -1,4 +1,4 @@
-"""Dense-core helpers: coercion and LU solves."""
+"""Dense-core helpers: coercion, LU solves and products on the calling thread."""
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from centrocirc import (
     sigma_powers,
     solve_dense,
 )
+from centrocirc import dense
 from centrocirc.dense import as_matrix, as_vector
 
 
@@ -161,3 +162,51 @@ def test_sizes_must_be_integers(func):
         func(least - 1)
     # numpy integers are sizes too
     func(np.int64(least + 2))
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_calling_thread_product_keeps_the_bits_of_matmul(n):
+    # each row block goes to zgemm as the whole product does, so every entry
+    # keeps its bits: F*, H*, a Gaussian matrix and Diag(f) R_n, each times
+    # itself and times its conjugate transpose
+    pack = make_fourier_pack(n)
+    rng = np.random.default_rng(n)
+    gaussian = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for a in (pack.f_star, pack.h_star, gaussian, *([nilpotent_realization(n)] if n > 1 else [])):
+        for b in (a, a.conj().T):
+            assert dense._calling_thread_product(a, b).tobytes() == (a @ b).tobytes()
+
+
+class _LoggedProducts(np.ndarray):
+    """A matrix that logs the (rows, inner, columns) of each np.matmul it
+    takes part in."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, _LoggedProducts) else a
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+        inputs = tuple(map(plain, inputs))
+        if ufunc is np.matmul:
+            _LoggedProducts.log.append((inputs[0].shape[0], *inputs[1].shape))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("n,blocks", [(1, 1), (31, 1), (32, 2), (41, 3), (64, 10),
+                                      (104, 35), (105, 1), (106, 53), (127, 1), (128, 1)])
+def test_calling_thread_product_blocks_of_2_rows_or_more_under_the_budget(monkeypatch, n,
+                                                                          blocks):
+    # balanced row blocks; whole where one block fits or where blocks of at
+    # least 2 rows cannot stay under budget (n = 105 and 127 would need a
+    # 1- or 3-row block, n = 128 fits 1 row)
+    log = []
+    monkeypatch.setattr(_LoggedProducts, "log", log)
+    a = np.ones((n, n), dtype=np.complex128)
+    dense._calling_thread_product(a.view(_LoggedProducts), a)
+    rows = [r for r, _, _ in log]
+    assert len(log) == blocks and sum(rows) == n
+    if blocks > 1:
+        assert min(rows) >= 2 and max(rows) - min(rows) <= 1
+        assert max(r * k * p for r, k, p in log) < dense._BLOCK_MULTIPLY_ADDS

@@ -475,9 +475,20 @@ def test_nilpotent_realization_squares_to_zero_at_2():
     assert np.linalg.norm(a @ a) <= 1e-14
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+# at n = 150 one row of A A alone is over the block budget: whole products
+@pytest.mark.parametrize("n", [*range(2, 13), 150])
 def test_nilpotent_realization_verifies(n):
     assert verify_nilpotent(nilpotent_realization(n))
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_power_keeps_the_bits_of_matrix_power(n):
+    # every exponent m <= n, so a change in numpy's order of products shows
+    rng = np.random.default_rng(n)
+    gaussian = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    for a in (gaussian, *([nilpotent_realization(n)] if n > 1 else [])):
+        for m in range(1, n + 1):
+            assert relation._power(a, m).tobytes() == np.linalg.matrix_power(a, m).tobytes()
 
 
 def test_verify_nilpotent_rejects_identity():

@@ -629,7 +629,7 @@ def test_centro_suite_checks_only_the_solver_inputs(monkeypatch):
 
 class _NoSquareProducts(np.ndarray):
     """A stack on which np.matmul fails once the result's last two axes both
-    exceed 2: a matrix may meet one or two vectors, never another matrix."""
+    exceed 7: a matrix may meet up to seven vectors, never another matrix."""
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         def plain(a):
@@ -637,7 +637,7 @@ class _NoSquareProducts(np.ndarray):
         if "out" in kwargs:
             kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
         result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
-        if ufunc is np.matmul and min(np.shape(result)[-2:]) > 2:
+        if ufunc is np.matmul and min(np.shape(result)[-2:]) > 7:
             raise AssertionError(f"a product of square matrices, {np.shape(result)}")
         return result
 
@@ -649,7 +649,7 @@ def test_centro_suite_forms_no_product_of_two_matrices(monkeypatch):
         return CentroSplit(sym=parts.sym.view(_NoSquareProducts),
                            skew=parts.skew.view(_NoSquareProducts))
 
-    square = guarded(np.ones((3, 3), dtype=np.complex128))
+    square = guarded(np.ones((8, 8), dtype=np.complex128))
     with pytest.raises(AssertionError, match="square matrices"):
         square.sym @ square.skew
     monkeypatch.setattr(verify, "_split_centro", guarded)
@@ -702,3 +702,15 @@ def test_unitary_suite_reports_the_unitary_defect(monkeypatch):
             metric = unitary_suite(n, n)[0]
             assert metric.value == max(_unitary_defect(pack.f_star),
                                        _unitary_defect(pack.h_star)) / n
+
+
+def test_verify_leaves_blas_workers_idle(blas_workers_spin):
+    # verify's products stay under OpenBLAS's threading floor, so no worker
+    # thread spins after a request.  One 128 x 128 complex product must wake
+    # it here, or this BLAS (or one core, or one thread) cannot show it
+    square = np.ones((128, 128), dtype=np.complex128)
+    if blas_workers_spin(lambda: square @ square) < 0.5:
+        pytest.skip("no BLAS worker thread spins after a 128 x 128 complex product")
+    for command in ("nilpotent 41..64", "unitary 41..64", "centro 64..64", "all 64..64"):
+        spin = blas_workers_spin(functools.partial(main, ["verify", *command.split()]))
+        assert spin < 0.5, f"verify {command}: {spin:.2f} CPU-s per s after it"
